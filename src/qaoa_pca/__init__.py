@@ -6,65 +6,4 @@ coefficients on unseen instances and compare both methods with paired
 nonparametric tests.
 """
 
-from .engine import ParameterVector, approximation_ratio, evolve, expectation, objective
-from .graphs import (
-    CanonicalKey,
-    Graph,
-    GraphFormatError,
-    WeightedGraph,
-    assign_random_weights,
-    canonical_key,
-    enumerate_connected_nonisomorphic,
-    is_connected,
-    load_graph_set,
-    sample_connected_nonisomorphic,
-    save_graph_set,
-    unit_weights,
-)
-from .maxcut import Assignment, brute_force_cmin, cost_diagonal, cut_value
-from .optimizer import (
-    NonFiniteObjectiveError,
-    OptimizerConfig,
-    OptResult,
-    TQAConfig,
-    minimize,
-    tqa_init,
-    train_graph,
-)
-from .pca import (
-    CoefficientVector,
-    ModelFormatError,
-    ParameterMatrix,
-    PCAModel,
-    expand,
-    fit,
-    load_model,
-    project,
-    projection_ranges,
-    sample_coefficients,
-    save_model,
-)
-from .pipeline import (
-    EvalConfig,
-    TrainingConfig,
-    build_eval_set,
-    build_graph_set,
-    build_training_set,
-    compare,
-    config_hash,
-    evaluate_pca,
-    evaluate_standard,
-    report_configurations,
-    run_training,
-    stable_hash,
-)
-from .records import ComparisonRow, RecordFormatError, RunRecord
-from .stats import (
-    PairedSample,
-    TestResult,
-    median,
-    rank_biserial,
-    wilcoxon_signed_rank,
-)
-
 __version__ = "0.1.0"

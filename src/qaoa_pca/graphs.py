@@ -10,13 +10,13 @@ relabelings (the canonical key).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 MAX_VERTICES = 16
-MAX_CANONICAL_VERTICES = 10  # canonical key searches all n! relabelings
+MAX_CANONICAL_VERTICES = 8  # canonical key tabulates all n! relabelings
 MAX_ENUMERATION_VERTICES = 7
 
 GRAPH_SET_HEADER = "# graph-set v1"
@@ -166,27 +166,7 @@ def canonical_key(g: Graph) -> CanonicalKey:
         raise ValueError(
             f"canonical key supports at most {MAX_CANONICAL_VERTICES} vertices, got {g.n}"
         )
-    mask = graph_to_mask(g)
-    if g.n <= 8:
-        return CanonicalKey(g.n, int(_orbit_masks(g.n, mask).min()))
-    # n = 9, 10: too large to cache the full table; sweep permutations in chunks
-    pairs = _pairs(g.n)
-    pair_idx = _pair_index(g.n)
-    best = mask
-    for perm in itertools.permutations(range(g.n)):
-        permuted = 0
-        m = mask
-        k = 0
-        while m:
-            if m & 1:
-                u, v = pairs[k]
-                pu, pv = perm[u], perm[v]
-                permuted |= 1 << pair_idx[(pu, pv) if pu < pv else (pv, pu)]
-            m >>= 1
-            k += 1
-        if permuted < best:
-            best = permuted
-    return CanonicalKey(g.n, best)
+    return CanonicalKey(g.n, int(_orbit_masks(g.n, graph_to_mask(g)).min()))
 
 
 def _connected_masks(n: int) -> np.ndarray:
@@ -213,7 +193,6 @@ def _connected_masks(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[int, ...]:
     conn = _connected_masks(n)
-    weights = _perm_bit_weights(n)
     seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
     reps: list[int] = []
     for m in conn:
@@ -222,15 +201,7 @@ def _enumerate_cached(n: int) -> tuple[int, ...]:
             continue
         # ascending sweep: the smallest unseen mask is the minimum of its orbit,
         # i.e. the canonical key of its isomorphism class
-        orbit = np.zeros(weights.shape[0], dtype=np.uint64)
-        k = 0
-        rest = m
-        while rest:
-            if rest & 1:
-                orbit |= weights[:, k]
-            rest >>= 1
-            k += 1
-        seen[orbit.astype(np.int64)] = True
+        seen[_orbit_masks(n, m).astype(np.int64)] = True
         reps.append(m)
     return tuple(reps)
 
@@ -265,7 +236,7 @@ def sample_connected_nonisomorphic(
         attempt_budget = max(10_000, 200 * count)
     npairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-    found: dict[int, int] = {}  # canonical bits -> first sampled mask
+    found: dict[int, None] = {}  # canonical bits of each class, in order of first sighting
     attempts = 0
     while len(found) < count and attempts < attempt_budget:
         mask = int(rng.integers(0, 1 << npairs))
@@ -273,15 +244,13 @@ def sample_connected_nonisomorphic(
         g = graph_from_mask(n, mask)
         if not is_connected(g):
             continue
-        key = canonical_key(g)
-        if key.bits not in found:
-            found[key.bits] = key.bits
+        found.setdefault(canonical_key(g).bits)
     if len(found) < count:
         raise ValueError(
             f"found only {len(found)} of {count} connected non-isomorphic graphs on "
             f"{n} vertices within {attempt_budget} attempts"
         )
-    chosen = list(found.values())[:count]
+    chosen = list(found)[:count]
     return [graph_from_mask(n, m) for m in chosen]
 
 

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ParameterVector, approximation_ratio, objective
+from .engine import approximation_ratio, objective
 from .graphs import (
+    MAX_CANONICAL_VERTICES,
     Graph,
     WeightedGraph,
     assign_random_weights,
@@ -30,12 +31,11 @@ from .graphs import (
 from .maxcut import brute_force_cmin, cost_diagonal
 from .optimizer import OptimizerConfig, TQAConfig, minimize, train_graph
 from .pca import CoefficientVector, ParameterMatrix, PCAModel, expand, sample_coefficients
-from .records import METHOD_PCA, ComparisonRow, RunRecord
-from .stats import PairedSample, median, rank_biserial, wilcoxon_signed_rank
+from .records import METHOD_PCA, ComparisonRow, RunRecord, record_from_dict, record_to_dict
+from .stats import PairedSample, median, wilcoxon_signed_rank
 
 TRAINING_SETS = ("unweighted", "weighted")
 BASELINE_KINDS = ("same_layers", "same_params")
-CHECKPOINT_FLUSH_EVERY = 50
 
 # every (training set, layers, retained components) cell of the report
 REPORT_CONFIGURATIONS = tuple(
@@ -106,8 +106,8 @@ class EvalConfig:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.count < 1:
             raise ValueError(f"count must be at least 1, got {self.count}")
-        if not (2 <= self.n_eval <= 10):
-            raise ValueError(f"n_eval must be in 2..10, got {self.n_eval}")
+        if not (2 <= self.n_eval <= MAX_CANONICAL_VERTICES):
+            raise ValueError(f"n_eval must be in 2..{MAX_CANONICAL_VERTICES}, got {self.n_eval}")
 
 
 class Checkpoint:
@@ -133,37 +133,15 @@ class Checkpoint:
                         continue
                     if obj.get("config") != config_key:
                         continue
-                    rec = RunRecord(
-                        graph_id=obj["graph_id"],
-                        method=obj["method"],
-                        layers=obj["layers"],
-                        param_count=obj["param_count"],
-                        evals=obj["evals"],
-                        approx_ratio=obj["approx_ratio"],
-                        best_params=tuple(obj["best_params"]),
-                    )
+                    rec = record_from_dict(obj)
                     self.done[rec.graph_id] = rec
         self._fh = None
-        self._pending = 0
 
     def add(self, rec: RunRecord) -> None:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        payload = {
-            "config": self.config_key,
-            "graph_id": rec.graph_id,
-            "method": rec.method,
-            "layers": rec.layers,
-            "param_count": rec.param_count,
-            "evals": rec.evals,
-            "approx_ratio": rec.approx_ratio,
-            "best_params": list(rec.best_params),
-        }
-        self._fh.write(json.dumps(payload) + "\n")
-        self._pending += 1
-        if self._pending >= CHECKPOINT_FLUSH_EVERY:
-            self._fh.flush()
-            self._pending = 0
+        self._fh.write(json.dumps({"config": self.config_key, **record_to_dict(rec)}) + "\n")
+        self._fh.flush()  # a killed run keeps every finished graph
         self.done[rec.graph_id] = rec
 
     def close(self) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,18 @@ class RunRecord:
             raise ValueError(
                 f"best_params must hold 2p={2 * self.layers} angles, got {len(self.best_params)}"
             )
+
+
+def record_to_dict(rec: RunRecord) -> dict:
+    """JSON-ready fields of a RunRecord, in declaration order."""
+    return asdict(rec)
+
+
+def record_from_dict(obj: dict) -> RunRecord:
+    """Inverse of `record_to_dict`; keys other than RunRecord's fields are ignored."""
+    rec = {f.name: obj[f.name] for f in fields(RunRecord)}
+    rec["best_params"] = tuple(rec["best_params"])
+    return RunRecord(**rec)
 
 
 @dataclass(frozen=True)

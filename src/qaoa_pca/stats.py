@@ -105,14 +105,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
 
 def rank_biserial(s: PairedSample) -> float:
     """(W+ - W-)/(W+ + W-) over nonzero differences; 0 when everything ties."""
-    d = np.asarray(s.a, dtype=np.float64) - np.asarray(s.b, dtype=np.float64)
-    d = d[d != 0.0]
-    if d.size == 0:
-        return 0.0
-    ranks2 = _doubled_ranks(np.abs(d))
-    w2_plus = int(ranks2[d > 0].sum())
-    w2_minus = int(ranks2[d < 0].sum())
-    return (w2_plus - w2_minus) / (w2_plus + w2_minus)
+    return wilcoxon_signed_rank(s).rbc
 
 
 def median(v) -> float:

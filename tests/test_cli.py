@@ -109,6 +109,7 @@ def test_evaluate_component_bound_names_limit(tmp_path, capsys):
 def test_exit_codes_on_bad_usage(tmp_path, capsys):
     assert run("gen-graphs", "--n", "4", "--out", tmp_path / "x", "--frobnicate") == 1
     assert run("no-such-command") == 1
+    assert run("gen-graphs", "--n", "9", "--count", "1", "--out", tmp_path / "y") == 1  # keys stop at 8
     assert run("train", "--graphs", tmp_path / "absent.graphs", "--p", "2",
                "--out", tmp_path / "m.csv") == 1
     assert run("--help") == 0

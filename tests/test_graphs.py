@@ -83,6 +83,19 @@ def test_canonical_key_invariant_under_relabeling():
         assert canonical_key(Graph(5, edges)) == base
 
 
+def test_canonical_key_invariant_under_relabeling_at_max_n():
+    # 8 vertices is the largest n canonical keys support; relabel by a sample of permutations
+    cycle = {(i, i + 1) for i in range(7)} | {(0, 7)}
+    g = Graph(8, frozenset(cycle | {(1, 5), (2, 6)}))
+    base = canonical_key(g)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        perm = rng.permutation(8)
+        edges = frozenset(tuple(sorted((int(perm[u]), int(perm[v])))) for u, v in g.edges)
+        assert canonical_key(Graph(8, edges)) == base
+    assert base.bits <= graph_to_mask(g)
+
+
 def test_canonical_key_separates_nonisomorphic():
     star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
     path = path_graph(4)
@@ -94,10 +107,9 @@ def test_canonical_key_id_string_format():
     assert key.id_string() == "n02k000000000001"
 
 
-def test_canonical_key_large_n_falls_back():
-    g = path_graph(9)
-    key = canonical_key(g)
-    assert key.n == 9
+def test_canonical_key_rejects_more_than_8_vertices():
+    with pytest.raises(ValueError):
+        canonical_key(path_graph(9))
     with pytest.raises(ValueError):
         canonical_key(path_graph(11))
 

@@ -74,6 +74,8 @@ def test_eval_config_validation():
         EvalConfig(p=2, k_components=2, restarts=0)
     with pytest.raises(ValueError):
         EvalConfig(p=2, k_components=2, n_eval=1)
+    with pytest.raises(ValueError):
+        EvalConfig(p=2, k_components=2, n_eval=9)  # canonical keys stop at 8 vertices
     # the reduction requirement can be lifted for diagnostics, up to the full basis
     EvalConfig(p=2, k_components=4, require_reduction=False)
     with pytest.raises(ValueError):
@@ -178,6 +180,22 @@ def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
     resumed = Checkpoint(path, "cfg-a")
     assert set(resumed.done) == {"n04k000000000007"}
     assert resumed.done["n04k000000000007"] == rec
+
+
+def test_checkpoint_record_visible_before_close(tmp_path):
+    # every finished graph reaches the file at once, so a killed run loses none
+    path = tmp_path / "live.ckpt"
+    ck = Checkpoint(path, "cfg-a")
+    rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
+    ck.add(rec)
+    try:
+        assert Checkpoint(path, "cfg-a").done == {rec.graph_id: rec}
+    finally:
+        ck.close()
+    assert path.read_text() == (
+        '{"config": "cfg-a", "graph_id": "n04k000000000007", "method": "standard", "layers": 1,'
+        ' "param_count": 2, "evals": 9, "approx_ratio": 0.5, "best_params": [0.1, 0.2]}\n'
+    )
 
 
 def test_evaluate_standard_sorted_and_bounded():
