@@ -8,7 +8,6 @@ logs its config hash and seed to stderr so artifacts can be traced.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from datetime import datetime, timezone
@@ -19,6 +18,7 @@ from .optimizer import OptimizerConfig, TQAConfig
 from .pca import ParameterMatrix, fit, load_model, save_model
 from .pipeline import (
     BASELINE_KINDS,
+    REPORT_CONFIGURATIONS,
     EvalConfig,
     TRAINING_SETS,
     TrainingConfig,
@@ -30,13 +30,11 @@ from .pipeline import (
     evaluate_standard,
     pca_records_filename,
     render_report,
-    report_configurations,
     run_training,
     scatter_filename,
-    scatter_rows,
     standard_records_filename,
 )
-from .records import read_matrix, read_records, write_comparison, write_matrix, write_records
+from .records import read_matrix, read_records, write_comparison, write_matrix, write_records, write_scatter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +77,12 @@ def _provenance(args, extra: dict | None = None) -> dict:
     return out
 
 
+# the handler, scheduling and output paths: none of them changes a result
+_UNHASHED_FLAGS = ("func", "workers", "checkpoint", "out", "records")
+
+
 def _args_hash(args) -> str:
-    items = tuple(sorted((k, repr(v)) for k, v in vars(args).items() if k != "func"))
+    items = tuple(sorted((k, repr(v)) for k, v in vars(args).items() if k not in _UNHASHED_FLAGS))
     return config_hash(items)
 
 
@@ -198,7 +200,7 @@ def _cmd_report(args) -> int:
     records_dir = Path(args.records_dir)
     out_dir = Path(args.out).parent
     rows = []
-    for training_set, p, k in report_configurations():
+    for training_set, p, k in REPORT_CONFIGURATIONS:
         pca = read_records(records_dir / pca_records_filename(training_set, p, k))
         same_layers = read_records(records_dir / standard_records_filename(p))
         same_params = read_records(records_dir / standard_records_filename(k // 2))
@@ -208,12 +210,7 @@ def _cmd_report(args) -> int:
                 compare(pca, same_params, "same_params", training_set),
             )
         )
-        scatter_path = out_dir / scatter_filename(training_set, p, k)
-        with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["evals", "approx_ratio", "method"])
-            for evals, ratio, method in scatter_rows(pca, same_layers, same_params):
-                writer.writerow([evals, format(ratio, ".17g"), method])
+        write_scatter(out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_report(rows, timestamp=_timestamp(args)))
     _log_run(args)

@@ -169,6 +169,10 @@ def canonical_key(g: Graph) -> CanonicalKey:
     return CanonicalKey(g.n, int(_orbit_masks(g.n, graph_to_mask(g)).min()))
 
 
+def graph_id(g: Graph) -> str:
+    return canonical_key(g).id_string()
+
+
 def _connected_masks(n: int) -> np.ndarray:
     """All edge bitmasks of connected n-vertex graphs, ascending (vectorized BFS)."""
     npairs = n * (n - 1) // 2
@@ -218,9 +222,7 @@ def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
     return [graph_from_mask(n, m) for m in _enumerate_cached(n)]
 
 
-def sample_connected_nonisomorphic(
-    n: int, count: int, seed: int, attempt_budget: int | None = None
-) -> list[Graph]:
+def sample_connected_nonisomorphic(n: int, count: int, seed: int) -> list[Graph]:
     """`count` pairwise non-isomorphic connected n-vertex graphs via rejection sampling.
 
     Uniform random edge masks are filtered to connected graphs and deduplicated by
@@ -232,8 +234,7 @@ def sample_connected_nonisomorphic(
         raise ValueError(f"sampling supports 2..{MAX_CANONICAL_VERTICES} vertices, got {n}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if attempt_budget is None:
-        attempt_budget = max(10_000, 200 * count)
+    attempt_budget = max(10_000, 200 * count)
     npairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     found: dict[int, None] = {}  # canonical bits of each class, in order of first sighting

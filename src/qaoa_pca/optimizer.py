@@ -1,4 +1,4 @@
-"""Derivative-free minimization with evaluation accounting, and per-graph training.
+"""Derivative-free minimization with evaluation accounting, and per-graph multi-start search.
 
 COBYLA (via scipy) does the local search. The wrapper counts every objective
 execution, enforces the evaluation budget exactly, and always returns the best
@@ -8,13 +8,14 @@ point visited rather than trusting the optimizer's final iterate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .engine import ParameterVector, objective, approximation_ratio
-from .graphs import WeightedGraph, canonical_key
+from .graphs import WeightedGraph, graph_id
 from .maxcut import cost_diagonal, brute_force_cmin
 from .records import RunRecord, METHOD_STANDARD
 
@@ -119,42 +120,55 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     )
 
 
-def train_graph(
+def optimize_graph(
     wg: WeightedGraph,
-    p: int,
-    tqa: TQAConfig = TQAConfig(),
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> tuple[ParameterVector, RunRecord]:
-    """Optimize one graph at depth p from every annealing seed in the grid.
+    gid: str,
+    method: str,
+    starts: Iterable,
+    angles: Callable[[np.ndarray], ParameterVector],
+    cfg: OptimizerConfig,
+) -> RunRecord:
+    """Minimize objective(diag, angles(x)) on one graph from each start in turn.
 
-    Keeps the run with the greatest approximation ratio (ties go to the smaller
-    time step). The record charges only the winning run's evaluations.
+    The start with the greatest approximation ratio wins; the earliest start
+    wins a tie. The record charges only the winner's evaluations and stores
+    its full 2p angles.
     """
     diag = cost_diagonal(wg)
     cmin, _ = brute_force_cmin(wg)
 
     def f(x):
-        return objective(diag, ParameterVector.from_array(x))
+        return objective(diag, angles(x))
 
     best_ratio = -math.inf
-    best_dt = math.inf
     best_res = None
-    for dt in tqa.dt_grid:
-        res = minimize(f, tqa_init(p, dt).as_array(), cfg)
+    for x0 in starts:
+        res = minimize(f, x0, cfg)
         ratio = approximation_ratio(res.best_value, cmin)
-        if ratio > best_ratio or (ratio == best_ratio and dt < best_dt):
+        if ratio > best_ratio:
             best_ratio = ratio
-            best_dt = dt
             best_res = res
-
-    params = ParameterVector.from_array(np.array(best_res.best_params))
-    record = RunRecord(
-        graph_id=canonical_key(wg.graph).id_string(),
-        method=METHOD_STANDARD,
-        layers=p,
-        param_count=2 * p,
+    theta = angles(np.array(best_res.best_params))
+    return RunRecord(
+        graph_id=gid,
+        method=method,
+        layers=theta.p,
+        param_count=len(best_res.best_params),
         evals=best_res.evals,
         approx_ratio=best_ratio,
-        best_params=best_res.best_params,
+        best_params=tuple(float(v) for v in theta.as_array()),
     )
-    return params, record
+
+
+def train_graph(
+    wg: WeightedGraph,
+    p: int,
+    tqa: TQAConfig = TQAConfig(),
+    cfg: OptimizerConfig = OptimizerConfig(),
+) -> RunRecord:
+    """Optimize one graph at depth p from every annealing seed in the grid.
+
+    Seeds run in ascending time step, so ties go to the smaller step.
+    """
+    starts = (tqa_init(p, dt).as_array() for dt in sorted(tqa.dt_grid))
+    return optimize_graph(wg, graph_id(wg.graph), METHOD_STANDARD, starts, ParameterVector.from_array, cfg)

@@ -17,19 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import approximation_ratio, objective
 from .graphs import (
     MAX_CANONICAL_VERTICES,
     Graph,
     WeightedGraph,
     assign_random_weights,
-    canonical_key,
     enumerate_connected_nonisomorphic,
+    graph_id,
     sample_connected_nonisomorphic,
     unit_weights,
 )
-from .maxcut import brute_force_cmin, cost_diagonal
-from .optimizer import OptimizerConfig, TQAConfig, minimize, train_graph
+from .optimizer import OptimizerConfig, TQAConfig, optimize_graph, train_graph
 from .pca import CoefficientVector, ParameterMatrix, PCAModel, expand, sample_coefficients
 from .records import METHOD_PCA, ComparisonRow, RunRecord, record_from_dict, record_to_dict
 from .stats import PairedSample, median, wilcoxon_signed_rank
@@ -54,10 +52,6 @@ def stable_hash(*parts) -> int:
 def config_hash(cfg) -> str:
     """Short hex fingerprint of a config's repr, for provenance and checkpoint keying."""
     return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:12]
-
-
-def graph_id(g: Graph) -> str:
-    return canonical_key(g).id_string()
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,6 @@ class Checkpoint:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.flush()
             self._fh.close()
             self._fh = None
 
@@ -176,58 +169,35 @@ def build_training_set(cfg: TrainingConfig) -> list[WeightedGraph]:
     return build_graph_set(lo, hi, cfg.training_set == "weighted", cfg.seed)
 
 
-def _train_task(args) -> RunRecord:
-    wg, p, tqa, opt = args
-    _, rec = train_graph(wg, p, tqa, opt)
-    return rec
-
-
-def _pca_task(args) -> RunRecord:
-    wg, model, training_rows, k, restarts, seed, opt = args
-    training_X = ParameterMatrix(training_rows)
+def _pca_task(wg, model, training_X, k, restarts, seed, opt) -> RunRecord:
     gid = graph_id(wg.graph)
-    diag = cost_diagonal(wg)
-    cmin, _ = brute_force_cmin(wg)
-
-    def f(c):
-        return objective(diag, expand(model, CoefficientVector(tuple(float(v) for v in c))))
-
-    best_ratio = -np.inf
-    best_res = None
-    for r in range(restarts):
-        c0 = sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r))
-        res = minimize(f, np.asarray(c0.coeffs), opt)
-        ratio = approximation_ratio(res.best_value, cmin)
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_res = res
-    theta = expand(model, CoefficientVector(best_res.best_params))
-    return RunRecord(
-        graph_id=gid,
-        method=METHOD_PCA,
-        layers=model.p,
-        param_count=k,
-        evals=best_res.evals,
-        approx_ratio=best_ratio,
-        best_params=tuple(float(v) for v in theta.as_array()),
+    starts = (
+        sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r)).coeffs
+        for r in range(restarts)
     )
+
+    def angles(c):
+        return expand(model, CoefficientVector(tuple(float(v) for v in c)))
+
+    return optimize_graph(wg, gid, METHOD_PCA, starts, angles, opt)
 
 
 def _map_tasks(fn, tasks, workers: int):
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(fn, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+            yield from ex.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (8 * workers)))
     else:
         for t in tasks:
-            yield fn(t)
+            yield fn(*t)
 
 
-def _run_stage(tasks_by_id: dict, task_fn, checkpoint: Checkpoint | None, workers: int) -> dict[str, RunRecord]:
-    """Run the not-yet-done tasks, feeding the checkpoint as results arrive."""
+def _run_stage(tasks: dict, fn, checkpoint_path, key: str, workers: int) -> dict[str, RunRecord]:
+    """Run the tasks not yet checkpointed under key, adding each record as it arrives."""
+    checkpoint = Checkpoint(checkpoint_path, key) if checkpoint_path else None
     done = dict(checkpoint.done) if checkpoint else {}
-    pending = [(gid, t) for gid, t in tasks_by_id.items() if gid not in done]
+    pending = [gid for gid in tasks if gid not in done]
     try:
-        for (gid, _), rec in zip(pending, _map_tasks(task_fn, [t for _, t in pending], workers)):
+        for gid, rec in zip(pending, _map_tasks(fn, [tasks[gid] for gid in pending], workers)):
             if rec.graph_id != gid:
                 raise RuntimeError(f"task for {gid} produced record for {rec.graph_id}")
             done[gid] = rec
@@ -253,8 +223,7 @@ def run_training(
         dupes = sorted({g for g in ids if ids.count(g) > 1})
         raise ValueError(f"training set contains duplicate graphs: {', '.join(dupes)}")
     tasks = {gid: (wg, cfg.p, cfg.tqa, cfg.optimizer) for gid, wg in zip(ids, graphs)}
-    ckpt = Checkpoint(checkpoint_path, config_hash(cfg)) if checkpoint_path else None
-    done = _run_stage(tasks, _train_task, ckpt, workers)
+    done = _run_stage(tasks, train_graph, checkpoint_path, config_hash(cfg), workers)
     records = [done[gid] for gid in ids]
     rows = np.array([rec.best_params for rec in records], dtype=np.float64)
     return ids, ParameterMatrix(rows), records
@@ -271,8 +240,7 @@ def evaluate_standard(
     """Full-parameter runs on each evaluation graph, sorted by graph id."""
     tasks = {graph_id(wg.graph): (wg, p, tqa, optimizer_cfg) for wg in eval_set}
     key = config_hash(("standard", p, tqa, optimizer_cfg))
-    ckpt = Checkpoint(checkpoint_path, key) if checkpoint_path else None
-    done = _run_stage(tasks, _train_task, ckpt, workers)
+    done = _run_stage(tasks, train_graph, checkpoint_path, key, workers)
     return [done[gid] for gid in sorted(tasks)]
 
 
@@ -299,19 +267,10 @@ def evaluate_pca(
     if training_X.p != model.p:
         raise ValueError(f"training matrix p={training_X.p} does not match model p={model.p}")
     tasks = {
-        graph_id(wg.graph): (
-            wg,
-            model,
-            training_X.rows,
-            cfg.k_components,
-            cfg.restarts,
-            cfg.seed,
-            optimizer_cfg,
-        )
+        graph_id(wg.graph): (wg, model, training_X, cfg.k_components, cfg.restarts, cfg.seed, optimizer_cfg)
         for wg in eval_set
     }
-    ckpt = Checkpoint(checkpoint_path, config_hash((cfg, optimizer_cfg))) if checkpoint_path else None
-    done = _run_stage(tasks, _pca_task, ckpt, workers)
+    done = _run_stage(tasks, _pca_task, checkpoint_path, config_hash((cfg, optimizer_cfg)), workers)
     return [done[gid] for gid in sorted(tasks)]
 
 
@@ -358,10 +317,6 @@ def compare(
         p_value_ratio=test_ratio.p_value,
         rbc_ratio=test_ratio.rbc,
     )
-
-
-def report_configurations() -> tuple[tuple[str, int, int], ...]:
-    return REPORT_CONFIGURATIONS
 
 
 def pca_records_filename(training_set: str, p: int, k: int) -> str:
@@ -438,18 +393,3 @@ def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]], timestamp: st
     lines.append("")
     return "\n".join(lines)
 
-
-def scatter_rows(
-    pca_records: list[RunRecord],
-    same_layers_records: list[RunRecord],
-    same_params_records: list[RunRecord],
-) -> list[tuple[int, float, str]]:
-    """(evals, approx_ratio, method) points for one configuration's scatter file."""
-    out = []
-    for rec in pca_records:
-        out.append((rec.evals, rec.approx_ratio, "pca"))
-    for rec in same_layers_records:
-        out.append((rec.evals, rec.approx_ratio, "same_layers"))
-    for rec in same_params_records:
-        out.append((rec.evals, rec.approx_ratio, "same_params"))
-    return out

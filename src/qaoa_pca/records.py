@@ -1,7 +1,8 @@
-"""Per-run records, paired-comparison rows, and their CSV/JSON file formats.
+"""Per-run records, paired-comparison rows, and every CSV/JSON artifact format.
 
-Floats in CSV artifacts are written with 17 significant digits so reloads are
-bit-exact; `#`-prefixed provenance comments precede the header row.
+Records, matrix and scatter files are CSV. Floats are written with 17
+significant digits so reloads are bit-exact; `#`-prefixed provenance comments
+precede the header row.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ METHOD_STANDARD = "standard"
 METHOD_PCA = "pca"
 
 RECORDS_FIELDS = ["graph_id", "method", "layers", "param_count", "evals", "approx_ratio"]
+SCATTER_FIELDS = ["evals", "approx_ratio", "method"]
 
 
 class RecordFormatError(ValueError):
@@ -79,26 +81,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_records(path, records: list[RunRecord], provenance: dict | None = None) -> None:
+def _write_csv(path, header: list[str], rows, provenance: dict | None = None) -> None:
+    """`# key value` provenance lines, then the header and rows, in one write."""
     buf = io.StringIO()
     for key, value in (provenance or {}).items():
         buf.write(f"# {key} {value}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORDS_FIELDS)
-    for r in records:
-        writer.writerow(
-            [r.graph_id, r.method, r.layers, r.param_count, r.evals, _fmt(r.approx_ratio)]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
+
+
+def _read_csv(path) -> list[list[str]]:
+    """Rows of a CSV artifact with the comment and blank lines dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+    return list(csv.reader(lines))
+
+
+def write_records(path, records: list[RunRecord], provenance: dict | None = None) -> None:
+    rows = ([r.graph_id, r.method, r.layers, r.param_count, r.evals, _fmt(r.approx_ratio)] for r in records)
+    _write_csv(path, RECORDS_FIELDS, rows, provenance)
 
 
 def read_records(path) -> list[RunRecord]:
     """Read a records CSV. The file stores no parameter vectors, so best_params
     is zero-filled; callers needing angles must keep the in-memory records."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    rows = list(csv.reader(lines))
+    rows = _read_csv(path)
     if not rows or rows[0] != RECORDS_FIELDS:
         raise RecordFormatError(
             f"{path}: expected header {','.join(RECORDS_FIELDS)}, got {rows[0] if rows else 'empty file'}"
@@ -122,6 +132,18 @@ def read_records(path) -> list[RunRecord]:
     return records
 
 
+def write_scatter(
+    path,
+    pca_records: list[RunRecord],
+    same_layers_records: list[RunRecord],
+    same_params_records: list[RunRecord],
+) -> None:
+    """(evals, approx_ratio, method) points of one report configuration, methods in that order."""
+    groups = (("pca", pca_records), ("same_layers", same_layers_records), ("same_params", same_params_records))
+    rows = ([r.evals, _fmt(r.approx_ratio), method] for method, recs in groups for r in recs)
+    _write_csv(path, SCATTER_FIELDS, rows)
+
+
 def matrix_fields(p: int) -> list[str]:
     return (
         ["graph_id"]
@@ -136,21 +158,12 @@ def write_matrix(path, graph_ids: list[str], rows: np.ndarray, provenance: dict 
     if rows.ndim != 2 or rows.shape[0] != len(graph_ids) or rows.shape[1] % 2 != 0:
         raise ValueError(f"matrix shape {rows.shape} inconsistent with {len(graph_ids)} graph ids")
     p = rows.shape[1] // 2
-    buf = io.StringIO()
-    for key, value in (provenance or {}).items():
-        buf.write(f"# {key} {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(matrix_fields(p))
-    for gid, row in zip(graph_ids, rows):
-        writer.writerow([gid] + [_fmt(x) for x in row])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    body = ([gid] + [_fmt(x) for x in row] for gid, row in zip(graph_ids, rows))
+    _write_csv(path, matrix_fields(p), body, provenance)
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    rows = list(csv.reader(lines))
+    rows = _read_csv(path)
     if not rows:
         raise RecordFormatError(f"{path}: empty matrix file")
     header = rows[0]

@@ -56,11 +56,6 @@ def _doubled_ranks(absd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tie_group_sizes(absd: np.ndarray) -> list[int]:
-    _, counts = np.unique(absd, return_counts=True)
-    return [int(c) for c in counts]
-
-
 def _exact_two_tailed(d2ranks: np.ndarray, w2: int) -> float:
     """P(W+ <= w) doubled-rank subset-sum count, two-tailed, over 2^n patterns."""
     total = 1 << len(d2ranks)
@@ -75,7 +70,9 @@ def _exact_two_tailed(d2ranks: np.ndarray, w2: int) -> float:
     return min(1.0, 2.0 * cnt / total)
 
 
-def _normal_two_tailed(n: int, tie_sizes: list[int], w: float) -> float:
+def _normal_two_tailed(d2ranks: np.ndarray, w: float) -> float:
+    n = len(d2ranks)
+    tie_sizes = np.unique(d2ranks, return_counts=True)[1].tolist()  # tied values share a rank
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - sum(t**3 - t for t in tie_sizes) / 48.0
     if var <= 0.0:
@@ -98,7 +95,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
     if n <= EXACT_LIMIT:
         p = _exact_two_tailed(ranks2, w2)
     else:
-        p = _normal_two_tailed(n, _tie_group_sizes(absd), w2 / 2.0)
+        p = _normal_two_tailed(ranks2, w2 / 2.0)
     rbc = (w2_plus - w2_minus) / (w2_plus + w2_minus)
     return TestResult(w2 / 2.0, p, rbc, n)
 

@@ -121,7 +121,7 @@ def test_criterion_3_single_edge_exactness():
     grid_ratio = approximation_ratio(best, -1.0)
     assert grid_ratio >= 0.9999
 
-    _, rec = train_graph(k2, 1)
+    rec = train_graph(k2, 1)
     assert rec.approx_ratio >= 0.999
     announce(3, f"train ratio {rec.approx_ratio:.6f} (grid oracle attains {grid_ratio:.6f})")
 

@@ -3,8 +3,8 @@ import numpy as np
 from qaoa_pca.cli import main
 from qaoa_pca.graphs import load_graph_set
 from qaoa_pca.pipeline import (
+    REPORT_CONFIGURATIONS,
     pca_records_filename,
-    report_configurations,
     scatter_filename,
     standard_records_filename,
 )
@@ -92,6 +92,18 @@ def test_train_rerun_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_provenance_ignores_workers_checkpoint_and_paths(tmp_path):
+    # results depend on neither the core count nor a checkpoint, so neither enters the config hash
+    graphs = tmp_path / "g.graphs"
+    assert run("gen-graphs", "--n", "3", "--out", graphs, "--no-timestamp") == 0
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    train = ("train", "--graphs", graphs, "--p", "1", "--max-evals", "40", "--no-timestamp")
+    assert run(*train, "--workers", "1", "--out", a) == 0
+    assert run(*train, "--workers", "2", "--checkpoint", tmp_path / "t.ckpt",
+               "--records", tmp_path / "r.csv", "--out", b) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_evaluate_component_bound_names_limit(tmp_path, capsys):
     graphs = tmp_path / "g.graphs"
     matrix = tmp_path / "m.csv"
@@ -156,7 +168,7 @@ def test_report_structure(tmp_path, capsys):
     for p in (1, 2, 4, 8):
         write_records(records_dir / standard_records_filename(p),
                       synth_records(100 + p, "standard", p, 2 * p))
-    for ts, p, k in report_configurations():
+    for ts, p, k in REPORT_CONFIGURATIONS:
         write_records(records_dir / pca_records_filename(ts, p, k),
                       synth_records(hash((ts, p, k)) % 1000, "pca", p, k))
 
@@ -167,7 +179,7 @@ def test_report_structure(tmp_path, capsys):
     header = lines[0]
     for col in ("Training Set", "# Layers", "# Param.", "P-Val.", "RBC"):
         assert col in header
-    for ts, p, k in report_configurations():
+    for ts, p, k in REPORT_CONFIGURATIONS:
         scatter = tmp_path / scatter_filename(ts, p, k)
         assert scatter.exists()
         body = scatter.read_text().splitlines()
