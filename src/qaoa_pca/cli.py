@@ -34,7 +34,15 @@ from .pipeline import (
     scatter_filename,
     standard_records_filename,
 )
-from .records import read_matrix, read_records, write_comparison, write_matrix, write_records, write_scatter
+from .records import (
+    read_matrix,
+    read_records,
+    write_comparison,
+    write_matrix,
+    write_records,
+    write_scatter,
+    write_text_atomic,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,15 +166,7 @@ def _cmd_evaluate(args) -> int:
                 f"--components {args.components} exceeds the model's {model.n_components} components"
             )
         _, rows = read_matrix(args.matrix)
-        cfg = EvalConfig(
-            p=model.p,
-            k_components=args.components,
-            n_eval=max(wg.graph.n for wg in eval_set),
-            count=len(eval_set),
-            restarts=args.restarts,
-            seed=args.seed,
-            model_ref=str(args.model),
-        )
+        cfg = EvalConfig(p=model.p, k_components=args.components, restarts=args.restarts, seed=args.seed)
         records = evaluate_pca(
             cfg,
             model,
@@ -211,8 +211,7 @@ def _cmd_report(args) -> int:
             )
         )
         write_scatter(out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_report(rows, timestamp=_timestamp(args)))
+    write_text_atomic(args.out, render_report(rows, timestamp=_timestamp(args)))
     _log_run(args)
     print(f"report with {len(rows)} configurations written to {args.out}", file=sys.stderr)
     return 0

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .records import write_text_atomic
+
 MAX_VERTICES = 16
 MAX_CANONICAL_VERTICES = 8  # canonical key tabulates all n! relabelings
 MAX_ENUMERATION_VERTICES = 7
@@ -272,8 +274,7 @@ def save_graph_set(path, graphs: list[WeightedGraph], timestamp: str | None = No
         lines.append(f"{wg.graph.n} {wg.graph.m}")
         for u, v in wg.graph.sorted_edges():
             lines.append(f"{u} {v} {wg.weights[(u, v)]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_graph_set(path) -> list[WeightedGraph]:

@@ -16,7 +16,7 @@ import scipy.optimize
 
 from .engine import ParameterVector, objective, approximation_ratio
 from .graphs import WeightedGraph, graph_id
-from .maxcut import cost_diagonal, brute_force_cmin
+from .maxcut import cost_diagonal
 from .records import RunRecord, METHOD_STANDARD
 
 
@@ -135,7 +135,7 @@ def optimize_graph(
     its full 2p angles.
     """
     diag = cost_diagonal(wg)
-    cmin, _ = brute_force_cmin(wg)
+    cmin = float(diag.min())
 
     def f(x):
         return objective(diag, angles(x))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ParameterVector
+from .records import write_text_atomic
 
 MODEL_FORMAT = "pca-model/1"
 
@@ -182,9 +183,7 @@ def save_model(path, model: PCAModel) -> None:
         "eigenvalues": model.eigenvalues.tolist(),
         "components": model.components.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path) -> PCAModel:

@@ -3,19 +3,23 @@ evaluation, paired baselines, and the comparison report.
 
 Every random choice flows from a master seed through stable_hash, so any stage
 rerun with the same configuration reproduces its artifacts byte for byte.
-Long stages checkpoint per graph into an append-only JSONL file keyed by the
-configuration hash, and can be cut off and resumed.
+Long stages checkpoint per graph into an append-only JSONL file and can be cut
+off and resumed; a record is reused only when everything it was computed from
+is unchanged (see `_run_stage`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .graphs import (
     MAX_CANONICAL_VERTICES,
@@ -50,7 +54,7 @@ def stable_hash(*parts) -> int:
 
 
 def config_hash(cfg) -> str:
-    """Short hex fingerprint of a config's repr, for provenance and checkpoint keying."""
+    """Short hex fingerprint of a config's repr, for provenance headers."""
     return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:12]
 
 
@@ -77,22 +81,21 @@ class TrainingConfig:
 class EvalConfig:
     p: int
     k_components: int
+    # n_eval, count and model_ref are read by nothing in the package; they stay,
+    # validated, because the benchmark workloads pass them (ROADMAP item 2)
     n_eval: int = 8
     count: int = 1000
     restarts: int = 5
     seed: int = 0
     model_ref: str = ""
-    require_reduction: bool = True
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"p must be at least 1, got {self.p}")
-        k_cap = self.p if self.require_reduction else 2 * self.p
-        if not (1 <= self.k_components <= k_cap):
+        if not (1 <= self.k_components <= self.p):
             raise ValueError(
-                f"k_components must be in 1..{k_cap} for p={self.p}"
-                f"{' (at most half the 2p parameters)' if self.require_reduction else ''},"
-                f" got {self.k_components}"
+                f"k_components must be in 1..{self.p} for p={self.p}"
+                f" (at most half the 2p parameters), got {self.k_components}"
             )
         if self.k_components % 2 != 0:
             raise ValueError(f"k_components must be even, got {self.k_components}")
@@ -105,36 +108,38 @@ class EvalConfig:
 
 
 class Checkpoint:
-    """Append-only JSONL of finished per-graph records, keyed by config hash.
+    """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
-    Lines from other configurations are preserved and ignored; a truncated
-    final line (cut-off run) is skipped on load.
+    `keys` maps each graph id to the key its record must carry to be reused.
+    Lines under any other key are preserved and ignored; a truncated final
+    line (cut-off run) is skipped on load.
     """
 
-    def __init__(self, path, config_key: str):
+    def __init__(self, path, keys: dict[str, str]):
         self.path = Path(path)
-        self.config_key = config_key
+        self.keys = keys
         self.done: dict[str, RunRecord] = {}
-        if self.path.exists():
+        try:
             with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if obj.get("config") != config_key:
-                        continue
-                    rec = record_from_dict(obj)
-                    self.done[rec.graph_id] = rec
+                lines = fh.readlines()
+        except FileNotFoundError:
+            lines = []
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError:  # blank or torn line
+                continue
+            key = keys.get(obj.get("graph_id"))
+            if key is None or obj.get("config") != key:
+                continue
+            rec = record_from_dict(obj)
+            self.done[rec.graph_id] = rec
         self._fh = None
 
     def add(self, rec: RunRecord) -> None:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps({"config": self.config_key, **record_to_dict(rec)}) + "\n")
+        self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **record_to_dict(rec)}) + "\n")
         self._fh.flush()  # a killed run keeps every finished graph
         self.done[rec.graph_id] = rec
 
@@ -191,13 +196,70 @@ def _map_tasks(fn, tasks, workers: int):
             yield fn(*t)
 
 
-def _run_stage(tasks: dict, fn, checkpoint_path, key: str, workers: int) -> dict[str, RunRecord]:
-    """Run the tasks not yet checkpointed under key, adding each record as it arrives."""
-    checkpoint = Checkpoint(checkpoint_path, key) if checkpoint_path else None
-    done = dict(checkpoint.done) if checkpoint else {}
-    pending = [gid for gid in tasks if gid not in done]
+def _encode(obj, out: list[bytes]) -> None:
+    """Append the value of obj to out, tagged by type and framed by length, so
+    that no two different values give the same bytes."""
+    t = type(obj)  # exact types first: this runs for every value on every stage call
+    if t is float:
+        out.append(b"f" + struct.pack("<d", obj))
+    elif t is int or t is str or t is bool or obj is None:
+        data = str(obj).encode("utf-8")
+        out.append(b"%s%d:%s" % (t.__name__.encode(), len(data), data))
+    elif t is tuple or t is list:
+        out.append(b"t%d:" % len(obj))
+        for item in obj:
+            _encode(item, out)
+    elif t is np.ndarray and not obj.dtype.hasobject:  # object arrays would hash addresses
+        out.append(b"a%s%r:" % (obj.dtype.str.encode(), obj.shape))
+        out.append(np.ascontiguousarray(obj).tobytes())
+    elif is_dataclass(obj):
+        names = obj.__dataclass_fields__
+        out.append(b"d%d:" % len(names))
+        _encode(t.__qualname__, out)
+        for name in names:
+            _encode(name, out)
+            _encode(getattr(obj, name), out)
+    elif isinstance(obj, float):
+        _encode(float(obj), out)
+    else:
+        raise TypeError(f"cannot key a checkpoint on a {t.__name__}")
+
+
+def _run_stage(
+    graphs: list[WeightedGraph], fn, shared: tuple, checkpoint_path, workers: int
+) -> dict[str, RunRecord]:
+    """fn(wg, *shared) on each graph; the records by graph id, in graph order.
+
+    Two isomorphic graphs would share an id, so they are rejected. Each record
+    reaches the checkpoint as soon as it arrives. A checkpointed record is
+    reused only under the key of what it was computed from: fn, the shared
+    arguments, the numpy and scipy versions (COBYLA's trajectory depends on
+    scipy) and the weighted graph.
+    """
+    ids = [graph_id(wg.graph) for wg in graphs]
+    todo = dict(zip(ids, graphs))
+    if len(todo) != len(ids):
+        dupes = sorted({g for g in ids if ids.count(g) > 1})
+        raise ValueError(f"graph set contains duplicate graphs: {', '.join(dupes)}")
+    checkpoint = None
+    done = {}
+    if checkpoint_path:
+        parts: list[bytes] = []
+        _encode((fn.__qualname__, shared, np.__version__, scipy.__version__), parts)
+        stage = hashlib.sha256(b"".join(parts))
+        keys = {}
+        for gid, wg in todo.items():
+            # vertex and edge counts, then the sorted edges and their weights
+            edges = sorted(wg.weights)
+            ints = [wg.graph.n, len(edges), *itertools.chain.from_iterable(edges)]
+            h = stage.copy()
+            h.update(struct.pack(f"<{len(ints)}q{len(edges)}d", *ints, *[wg.weights[e] for e in edges]))
+            keys[gid] = h.hexdigest()[:16]
+        checkpoint = Checkpoint(checkpoint_path, keys)
+        done = dict(checkpoint.done)
+    pending = [gid for gid in todo if gid not in done]
     try:
-        for gid, rec in zip(pending, _map_tasks(fn, [tasks[gid] for gid in pending], workers)):
+        for gid, rec in zip(pending, _map_tasks(fn, [(todo[gid], *shared) for gid in pending], workers)):
             if rec.graph_id != gid:
                 raise RuntimeError(f"task for {gid} produced record for {rec.graph_id}")
             done[gid] = rec
@@ -206,7 +268,7 @@ def _run_stage(tasks: dict, fn, checkpoint_path, key: str, workers: int) -> dict
     finally:
         if checkpoint:
             checkpoint.close()
-    return done
+    return {gid: done[gid] for gid in todo}
 
 
 def run_training(
@@ -218,15 +280,9 @@ def run_training(
     """Train every graph at depth cfg.p; rows keep the graph-set order."""
     if graphs is None:
         graphs = build_training_set(cfg)
-    ids = [graph_id(wg.graph) for wg in graphs]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({g for g in ids if ids.count(g) > 1})
-        raise ValueError(f"training set contains duplicate graphs: {', '.join(dupes)}")
-    tasks = {gid: (wg, cfg.p, cfg.tqa, cfg.optimizer) for gid, wg in zip(ids, graphs)}
-    done = _run_stage(tasks, train_graph, checkpoint_path, config_hash(cfg), workers)
-    records = [done[gid] for gid in ids]
-    rows = np.array([rec.best_params for rec in records], dtype=np.float64)
-    return ids, ParameterMatrix(rows), records
+    done = _run_stage(graphs, train_graph, (cfg.p, cfg.tqa, cfg.optimizer), checkpoint_path, workers)
+    rows = np.array([rec.best_params for rec in done.values()], dtype=np.float64)
+    return list(done), ParameterMatrix(rows), list(done.values())
 
 
 def evaluate_standard(
@@ -238,10 +294,8 @@ def evaluate_standard(
     workers: int = 1,
 ) -> list[RunRecord]:
     """Full-parameter runs on each evaluation graph, sorted by graph id."""
-    tasks = {graph_id(wg.graph): (wg, p, tqa, optimizer_cfg) for wg in eval_set}
-    key = config_hash(("standard", p, tqa, optimizer_cfg))
-    done = _run_stage(tasks, train_graph, checkpoint_path, key, workers)
-    return [done[gid] for gid in sorted(tasks)]
+    done = _run_stage(eval_set, train_graph, (p, tqa, optimizer_cfg), checkpoint_path, workers)
+    return [done[gid] for gid in sorted(done)]
 
 
 def evaluate_pca(
@@ -266,12 +320,9 @@ def evaluate_pca(
         )
     if training_X.p != model.p:
         raise ValueError(f"training matrix p={training_X.p} does not match model p={model.p}")
-    tasks = {
-        graph_id(wg.graph): (wg, model, training_X, cfg.k_components, cfg.restarts, cfg.seed, optimizer_cfg)
-        for wg in eval_set
-    }
-    done = _run_stage(tasks, _pca_task, checkpoint_path, config_hash((cfg, optimizer_cfg)), workers)
-    return [done[gid] for gid in sorted(tasks)]
+    shared = (model, training_X, cfg.k_components, cfg.restarts, cfg.seed, optimizer_cfg)
+    done = _run_stage(eval_set, _pca_task, shared, checkpoint_path, workers)
+    return [done[gid] for gid in sorted(done)]
 
 
 def compare(

@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -51,9 +53,12 @@ def record_to_dict(rec: RunRecord) -> dict:
     return asdict(rec)
 
 
+_RUN_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
+
+
 def record_from_dict(obj: dict) -> RunRecord:
     """Inverse of `record_to_dict`; keys other than RunRecord's fields are ignored."""
-    rec = {f.name: obj[f.name] for f in fields(RunRecord)}
+    rec = {name: obj[name] for name in _RUN_RECORD_FIELDS}
     rec["best_params"] = tuple(rec["best_params"])
     return RunRecord(**rec)
 
@@ -81,6 +86,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Replace the file at path with text in one step, so a crash leaves the old file or the new one.
+
+    The text goes to a temporary file beside the target, which `os.replace`
+    then moves over it; the temporary file is removed if anything fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path, header: list[str], rows, provenance: dict | None = None) -> None:
     """`# key value` provenance lines, then the header and rows, in one write."""
     buf = io.StringIO()
@@ -89,8 +111,7 @@ def _write_csv(path, header: list[str], rows, provenance: dict | None = None) ->
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 def _read_csv(path) -> list[list[str]]:
@@ -183,9 +204,7 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
 
 
 def write_comparison(path, row: ComparisonRow) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(row), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(asdict(row), indent=2, sort_keys=True) + "\n")
 
 
 def read_comparison(path) -> ComparisonRow:

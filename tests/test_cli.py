@@ -8,7 +8,7 @@ from qaoa_pca.pipeline import (
     scatter_filename,
     standard_records_filename,
 )
-from qaoa_pca.records import RunRecord, read_comparison, read_records, write_records
+from qaoa_pca.records import RunRecord, read_comparison, read_matrix, read_records, write_records
 
 
 def run(*argv):
@@ -102,6 +102,48 @@ def test_provenance_ignores_workers_checkpoint_and_paths(tmp_path):
     assert run(*train, "--workers", "2", "--checkpoint", tmp_path / "t.ckpt",
                "--records", tmp_path / "r.csv", "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_evaluate_resumes_with_the_model_at_another_path(tmp_path):
+    graphs = tmp_path / "g.graphs"
+    matrix = tmp_path / "m.csv"
+    model = tmp_path / "model.pca"
+    ckpt = tmp_path / "pca.ckpt"
+    assert run("gen-graphs", "--n", "4", "--out", graphs, "--no-timestamp") == 0
+    assert run("train", "--graphs", graphs, "--p", "2", "--max-evals", "60",
+               "--out", matrix, "--no-timestamp", "--workers", "1") == 0
+    assert run("fit-pca", "--matrix", matrix, "--out", model) == 0
+    moved = tmp_path / "elsewhere" / "copy.pca"
+    moved.parent.mkdir()
+    moved.write_bytes(model.read_bytes())
+    outs = []
+    for i, path in enumerate((model, moved)):
+        outs.append(tmp_path / f"r{i}.csv")
+        assert run("evaluate", "--graphs", graphs, "--model", path, "--components", "2",
+                   "--matrix", matrix, "--restarts", "1", "--max-evals", "60", "--checkpoint", ckpt,
+                   "--out", outs[-1], "--no-timestamp", "--workers", "1") == 0
+        if i == 0:
+            lines = ckpt.read_text()
+    assert ckpt.read_text() == lines  # the second run appended nothing
+    assert read_records(outs[0]) == read_records(outs[1])
+
+
+def test_train_resumes_across_seeds(tmp_path):
+    # training does not use the seed, so a checkpoint from --seed 1 serves --seed 2
+    graphs = tmp_path / "g.graphs"
+    ckpt = tmp_path / "train.ckpt"
+    assert run("gen-graphs", "--n", "4", "--out", graphs, "--no-timestamp") == 0
+    rows = []
+    for seed in (1, 2):
+        out = tmp_path / f"m{seed}.csv"
+        assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "60", "--seed", seed,
+                   "--checkpoint", ckpt, "--out", out, "--no-timestamp", "--workers", "1") == 0
+        if seed == 1:
+            lines = ckpt.read_text()
+        rows.append(read_matrix(out))
+    assert ckpt.read_text() == lines
+    assert rows[0][0] == rows[1][0]
+    assert np.array_equal(rows[0][1], rows[1][1])
 
 
 def test_evaluate_component_bound_names_limit(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,9 +8,11 @@ from qaoa_pca.engine import ParameterVector, approximation_ratio, objective
 from qaoa_pca.graphs import Graph, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
 from qaoa_pca.optimizer import OptimizerConfig, TQAConfig
-from qaoa_pca.pca import ParameterMatrix, fit
+from qaoa_pca.pca import ParameterMatrix, PCAModel, fit
 from qaoa_pca.pipeline import (
     Checkpoint,
+    _encode,
+    _pca_task,
     EvalConfig,
     REPORT_CONFIGURATIONS,
     TrainingConfig,
@@ -75,10 +78,6 @@ def test_eval_config_validation():
         EvalConfig(p=2, k_components=2, n_eval=1)
     with pytest.raises(ValueError):
         EvalConfig(p=2, k_components=2, n_eval=9)  # canonical keys stop at 8 vertices
-    # the reduction requirement can be lifted for diagnostics, up to the full basis
-    EvalConfig(p=2, k_components=4, require_reduction=False)
-    with pytest.raises(ValueError):
-        EvalConfig(p=2, k_components=6, require_reduction=False)
 
 
 def test_build_graph_set_counts_and_weights():
@@ -167,7 +166,8 @@ def test_run_training_checkpoint_resume(tmp_path):
 
 def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
     path = tmp_path / "mixed.ckpt"
-    ck = Checkpoint(path, "cfg-a")
+    keys = {"n04k000000000007": "cfg-a", "n04k000000000008": "cfg-a"}
+    ck = Checkpoint(path, keys)
     rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
     ck.add(rec)
     ck.close()
@@ -176,25 +176,48 @@ def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
                  ' "layers": 1, "param_count": 2, "evals": 3, "approx_ratio": 0.4, "best_params": [0, 0]}\n')
         fh.write('{"config": "cfg-a", "graph_id": "torn')  # crashed mid-write
 
-    resumed = Checkpoint(path, "cfg-a")
+    resumed = Checkpoint(path, keys)
     assert set(resumed.done) == {"n04k000000000007"}
     assert resumed.done["n04k000000000007"] == rec
+    # a record is reused only under the key given for its own graph id
+    assert Checkpoint(path, {"n04k000000000007": "cfg-b"}).done == {}
 
 
 def test_checkpoint_record_visible_before_close(tmp_path):
     # every finished graph reaches the file at once, so a killed run loses none
     path = tmp_path / "live.ckpt"
-    ck = Checkpoint(path, "cfg-a")
+    keys = {"n04k000000000007": "cfg-a"}
+    ck = Checkpoint(path, keys)
     rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
     ck.add(rec)
     try:
-        assert Checkpoint(path, "cfg-a").done == {rec.graph_id: rec}
+        assert Checkpoint(path, keys).done == {rec.graph_id: rec}
     finally:
         ck.close()
     assert path.read_text() == (
         '{"config": "cfg-a", "graph_id": "n04k000000000007", "method": "standard", "layers": 1,'
         ' "param_count": 2, "evals": 9, "approx_ratio": 0.5, "best_params": [0.1, 0.2]}\n'
     )
+
+
+def key_of(obj) -> str:
+    parts = []
+    _encode(obj, parts)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def test_checkpoint_key_hashes_values():
+    assert key_of((1, 2.0)) != key_of((1.0, 2))
+    assert key_of(np.float64(0.5)) == key_of(0.5)
+    assert key_of(0.1 + 0.2) != key_of(0.3)  # floats exactly
+    assert key_of(("ab", "c")) != key_of(("a", "bc"))
+    assert key_of(np.zeros(2)) != key_of(np.zeros(2, dtype=np.float32))
+    assert key_of(np.zeros((2, 1))) != key_of(np.zeros((1, 2)))
+    assert key_of(OptimizerConfig()) == key_of(OptimizerConfig())
+    assert key_of(OptimizerConfig()) != key_of(OptimizerConfig(max_evals=999))
+    for unkeyable in ({"a": 1}, np.array([None])):  # no stage shares a dict; object arrays hold addresses
+        with pytest.raises(TypeError):
+            key_of(unkeyable)
 
 
 def test_evaluate_standard_sorted_and_bounded():
@@ -211,6 +234,25 @@ def test_evaluate_standard_k2_exact():
     k2 = [unit_weights(Graph(2, frozenset({(0, 1)})))]
     records = evaluate_standard(1, k2)
     assert records[0].approx_ratio >= 0.999
+
+
+def test_evaluate_standard_checkpoint_tells_weightings_apart(tmp_path):
+    # eval seeds 1 and 2 both sample graph n05k00000000003a, under different weights
+    ckpt = tmp_path / "std.ckpt"
+    evaluate_standard(1, build_eval_set(5, 3, seed=1), checkpoint_path=ckpt)
+    eval_set = build_eval_set(5, 3, seed=2)
+    resumed = evaluate_standard(1, eval_set, checkpoint_path=ckpt)
+    assert resumed == evaluate_standard(1, eval_set)
+    ratio = {r.graph_id: r.approx_ratio for r in resumed}["n05k00000000003a"]
+    assert ratio == pytest.approx(0.9627, abs=1e-4)  # the seed-1 weighting gives 0.7693
+
+
+def test_stages_reject_duplicate_graphs():
+    k2 = unit_weights(Graph(2, frozenset({(0, 1)})))
+    with pytest.raises(ValueError, match="duplicate graphs: n02k000000000001"):
+        evaluate_standard(1, [k2, k2])
+    with pytest.raises(ValueError, match="duplicate graphs"):
+        run_training(small_training_cfg(), graphs=[k2, k2])
 
 
 def test_evaluate_standard_depth_helps_on_median():
@@ -257,12 +299,10 @@ def test_evaluate_pca_full_basis_recovers_training_quality(trained_model):
     """With every component retained, reduced runs should roughly match full training."""
     X, model, train_records = trained_model
     graphs = build_training_set(TrainingConfig(p=2, vertex_range=(4, 4), seed=3))
-    cfg = EvalConfig(
-        p=2, k_components=4, n_eval=4, count=6, restarts=3, seed=9, require_reduction=False
-    )
-    records = evaluate_pca(cfg, model, graphs, X, optimizer_cfg=OptimizerConfig(max_evals=300))
     trained_by_id = {r.graph_id: r.approx_ratio for r in train_records}
-    for rec in records:
+    for wg in graphs:
+        # k = 2p: EvalConfig allows k <= p only, so the per-graph task is called directly
+        rec = _pca_task(wg, model, X, 4, 3, 9, OptimizerConfig(max_evals=300))
         assert rec.approx_ratio >= trained_by_id[rec.graph_id] - 0.05
 
 
@@ -289,6 +329,21 @@ def test_evaluate_pca_checkpoint_resume(trained_model, tmp_path):
     again = evaluate(eval_set, ckpt)
     assert len(ckpt.read_text().splitlines()) == 6
     assert again == fresh
+
+
+def test_evaluate_pca_checkpoint_recomputes_for_changed_inputs(trained_model, tmp_path):
+    # the model and the training matrix change under an unchanged config (same model_ref)
+    X, model, _ = trained_model
+    ckpt = tmp_path / "pca.ckpt"
+    eval_set = build_eval_set(5, 3, seed=8)
+    cfg = EvalConfig(p=2, k_components=2, restarts=1, seed=5, model_ref="model.pca")
+    evaluate_pca(cfg, model, eval_set, X, optimizer_cfg=FAST_OPT, checkpoint_path=ckpt)
+    shifted = PCAModel(model.p, model.mean + 0.1, model.components, model.eigenvalues)
+    scaled = ParameterMatrix(X.rows * 1.5)
+    for m, x in ((shifted, X), (model, scaled)):
+        resumed = evaluate_pca(cfg, m, eval_set, x, optimizer_cfg=FAST_OPT, checkpoint_path=ckpt)
+        assert resumed == evaluate_pca(cfg, m, eval_set, x, optimizer_cfg=FAST_OPT)
+    assert len(ckpt.read_text().splitlines()) == 9
 
 
 def test_evaluate_pca_rejects_mismatched_model(trained_model):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from qaoa_pca import records
 from qaoa_pca.records import (
     ComparisonRow,
     RecordFormatError,
@@ -12,6 +15,7 @@ from qaoa_pca.records import (
     write_comparison,
     write_matrix,
     write_records,
+    write_text_atomic,
 )
 
 
@@ -108,3 +112,31 @@ def test_comparison_round_trip(tmp_path):
     path = tmp_path / "cmp.json"
     write_comparison(path, row)
     assert read_comparison(path) == row
+
+
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "recs.csv"
+    write_records(path, sample_records())
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "x" * 100_000 + "\ud800")  # fails while encoding the text
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["recs.csv"]
+
+    def refuse(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(records.os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_records(path, sample_records()[:1])  # the temporary file is complete, the swap fails
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["recs.csv"]
+
+
+def test_atomic_write_bytes_and_mode_match_plain_open(tmp_path):
+    text = "a,b\n1,2\n"
+    with open(tmp_path / "plain.csv", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    write_text_atomic(tmp_path / "atomic.csv", text)
+    assert (tmp_path / "atomic.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert os.stat(tmp_path / "atomic.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
