@@ -8,6 +8,7 @@ logs its config hash and seed to stderr so artifacts can be traced.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from datetime import datetime, timezone
@@ -87,11 +88,19 @@ def _provenance(args, extra: dict | None = None) -> dict:
 
 # the handler, scheduling and output paths: none of them changes a result
 _UNHASHED_FLAGS = ("func", "workers", "checkpoint", "out", "records")
+# input files enter the hash by content, so the same run in another directory hashes alike
+_INPUT_FILE_FLAGS = ("graphs", "matrix", "model", "pca", "baseline")
 
 
 def _args_hash(args) -> str:
-    items = tuple(sorted((k, repr(v)) for k, v in vars(args).items() if k not in _UNHASHED_FLAGS))
-    return config_hash(items)
+    items = []
+    for k, v in vars(args).items():
+        if k in _UNHASHED_FLAGS:
+            continue
+        if k in _INPUT_FILE_FLAGS and v is not None:
+            v = hashlib.sha256(Path(v).read_bytes()).hexdigest()
+        items.append((k, repr(v)))
+    return config_hash(tuple(sorted(items)))
 
 
 def _log_run(args) -> None:

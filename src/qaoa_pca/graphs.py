@@ -135,28 +135,31 @@ def is_connected(g: Graph) -> bool:
 
 @lru_cache(maxsize=8)
 def _perm_bit_weights(n: int) -> np.ndarray:
-    """(n!, C(n,2)) table: entry [p, k] is the destination bit of pair k under permutation p."""
+    """(C(n,2), n!) table: entry [k, p] is the destination bit of pair k under permutation p.
+
+    Pair-major and C-contiguous, so the relabelings of one pair are one row.
+    """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     pairs = _pairs(n)
     pair_idx = np.zeros((n, n), dtype=np.int64)
     for k, (u, v) in enumerate(pairs):
         pair_idx[u, v] = pair_idx[v, u] = k
-    weights = np.empty((len(perms), len(pairs)), dtype=np.uint64)
+    weights = np.empty((len(pairs), len(perms)), dtype=np.uint64)
     for k, (u, v) in enumerate(pairs):
         dest = pair_idx[perms[:, u], perms[:, v]]
-        weights[:, k] = np.uint64(1) << dest.astype(np.uint64)
+        weights[k] = np.uint64(1) << dest.astype(np.uint64)
     return weights
 
 
 def _orbit_masks(n: int, mask: int) -> np.ndarray:
     """All n! relabelings of `mask` as a uint64 vector (with repeats for automorphisms)."""
     weights = _perm_bit_weights(n)
-    acc = np.zeros(weights.shape[0], dtype=np.uint64)
+    acc = np.zeros(weights.shape[1], dtype=np.uint64)
     k = 0
     m = mask
     while m:
         if m & 1:
-            acc |= weights[:, k]
+            acc |= weights[k]
         m >>= 1
         k += 1
     return acc

@@ -3,6 +3,11 @@
 COBYLA (via scipy) does the local search. The wrapper counts every objective
 execution, enforces the evaluation budget exactly, and always returns the best
 point visited rather than trusting the optimizer's final iterate.
+
+`scipy.optimize` is imported inside `minimize`, not at the top: it takes about
+half a second to load, and the CLI calls that optimize nothing (gen-graphs,
+fit-pca, compare, report, a fully resumed train or evaluate) import this module
+too. A pool worker pays the import on its first task.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .engine import ParameterVector, objective, approximation_ratio
 from .graphs import WeightedGraph, graph_id
@@ -81,6 +85,8 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     Returns the best point actually visited. converged is False exactly when
     the run stopped because the budget ran out.
     """
+    import scipy.optimize  # deferred: see the module docstring
+
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError(f"x0 must be a nonempty 1-d vector, got shape {x0.shape}")

@@ -112,7 +112,8 @@ class Checkpoint:
 
     `keys` maps each graph id to the key its record must carry to be reused.
     Lines under any other key are preserved and ignored; a truncated final
-    line (cut-off run) is skipped on load.
+    line (cut-off run) is skipped on load, and the first `add` ends it with a
+    newline so the new record starts a line of its own.
     """
 
     def __init__(self, path, keys: dict[str, str]):
@@ -124,6 +125,7 @@ class Checkpoint:
                 lines = fh.readlines()
         except FileNotFoundError:
             lines = []
+        self._torn = bool(lines) and not lines[-1].endswith("\n")
         for line in lines:
             try:
                 obj = json.loads(line)
@@ -139,6 +141,9 @@ class Checkpoint:
     def add(self, rec: RunRecord) -> None:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
+            if self._torn:
+                self._fh.write("\n")
+                self._torn = False
         self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **record_to_dict(rec)}) + "\n")
         self._fh.flush()  # a killed run keeps every finished graph
         self.done[rec.graph_id] = rec

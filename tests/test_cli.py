@@ -1,5 +1,14 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 
+import qaoa_pca
 from qaoa_pca.cli import main
 from qaoa_pca.graphs import load_graph_set
 from qaoa_pca.pipeline import (
@@ -13,6 +22,13 @@ from qaoa_pca.records import RunRecord, read_comparison, read_matrix, read_recor
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env():
+    """Environment for a fresh interpreter that imports this package, on one BLAS thread."""
+    src = str(Path(qaoa_pca.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
 
 
 def test_gen_graphs_enumerates(tmp_path):
@@ -102,6 +118,80 @@ def test_provenance_ignores_workers_checkpoint_and_paths(tmp_path):
     assert run(*train, "--workers", "2", "--checkpoint", tmp_path / "t.ckpt",
                "--records", tmp_path / "r.csv", "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_provenance_hashes_input_contents_not_paths(tmp_path):
+    # the same train-and-evaluate chain in two directories writes the same bytes
+    outputs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        assert run("gen-graphs", "--n", "4", "--out", d / "g.graphs", "--no-timestamp") == 0
+        assert run("train", "--graphs", d / "g.graphs", "--p", "2", "--max-evals", "40",
+                   "--out", d / "m.csv", "--records", d / "t.csv", "--no-timestamp",
+                   "--workers", "1") == 0
+        assert run("fit-pca", "--matrix", d / "m.csv", "--out", d / "model.pca") == 0
+        assert run("evaluate", "--graphs", d / "g.graphs", "--model", d / "model.pca",
+                   "--components", "2", "--matrix", d / "m.csv", "--restarts", "1",
+                   "--max-evals", "40", "--out", d / "r.csv", "--no-timestamp",
+                   "--workers", "1") == 0
+        outputs.append([(d / f).read_bytes() for f in ("m.csv", "t.csv", "r.csv")])
+    assert outputs[0] == outputs[1]
+
+    # a changed input file changes the header
+    other = tmp_path / "b" / "g.graphs"
+    assert run("gen-graphs", "--n", "3", "--out", other, "--no-timestamp") == 0
+    assert run("train", "--graphs", other, "--p", "2", "--max-evals", "40",
+               "--out", tmp_path / "m3.csv", "--no-timestamp", "--workers", "1") == 0
+    config = (tmp_path / "m3.csv").read_text().splitlines()[0]
+    assert config.startswith("# config ")
+    assert config != outputs[0][0].decode().splitlines()[0]
+
+
+def test_cli_startup_leaves_scipy_optimize_unloaded(tmp_path):
+    # only optimizing calls pay for scipy.optimize, about half a second to import
+    code = (
+        "import sys, qaoa_pca.cli\n"
+        f"assert qaoa_pca.cli.main(['gen-graphs', '--n', '4', '--out', {str(tmp_path / 'g.graphs')!r}]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_train_killed_mid_stage_resumes_to_the_same_bytes(tmp_path):
+    graphs = tmp_path / "g.graphs"
+    assert run("gen-graphs", "--n", "4", "--out", graphs, "--no-timestamp") == 0
+    train = ["train", "--graphs", graphs, "--p", "1", "--no-timestamp", "--workers", "1"]
+    ref_m, ref_r = tmp_path / "ref_m.csv", tmp_path / "ref_r.csv"
+    assert run(*train, "--out", ref_m, "--records", ref_r) == 0
+
+    ckpt, m, r = tmp_path / "t.ckpt", tmp_path / "m.csv", tmp_path / "r.csv"
+    resumable = [*train, "--checkpoint", ckpt, "--out", m, "--records", r]
+    proc = subprocess.Popen([sys.executable, "-m", "qaoa_pca.cli", *map(str, resumable)],
+                            env=child_env(), stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (ckpt.exists() and b"\n" in ckpt.read_bytes()):
+            assert proc.poll() is None, "train exited before writing a checkpoint line"
+            assert time.monotonic() < deadline, "no checkpoint line within 120 s"
+            time.sleep(0.002)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    killed = ckpt.read_text()
+    assert 1 <= killed.count("\n") < 6 and not m.exists()
+
+    assert run(*resumable) == 0
+    assert m.read_bytes() == ref_m.read_bytes()
+    assert r.read_bytes() == ref_r.read_bytes()
+    text = ckpt.read_text()
+    assert text.startswith(killed)
+    ids = [json.loads(line)["graph_id"] for line in text.splitlines()]
+    assert len(ids) == 6 and len(set(ids)) == 6  # no graph computed twice
 
 
 def test_evaluate_resumes_with_the_model_at_another_path(tmp_path):

@@ -96,6 +96,28 @@ def test_canonical_key_invariant_under_relabeling_at_max_n():
     assert base.bits <= graph_to_mask(g)
 
 
+def permutation_min_mask(g):
+    """Canonical bits by brute force: the least mask over every relabeling, in plain Python.
+
+    Pair (u, v), u < v, is bit k in the order (0,1), (0,2), ..., (0,n-1), (1,2), ...
+    """
+    bit = {uv: k for k, uv in enumerate(itertools.combinations(range(g.n), 2))}
+    return min(
+        sum(1 << bit[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in g.edges)
+        for perm in itertools.permutations(range(g.n))
+    )
+
+
+def test_canonical_key_matches_permutation_oracle():
+    rng = np.random.default_rng(20)
+    cases = [(n, 4) for n in range(2, 8)] + [(8, 3)]
+    for n, count in cases:
+        for _ in range(count):
+            pairs = itertools.combinations(range(n), 2)
+            g = Graph(n, frozenset(uv for uv in pairs if rng.random() < 0.5))
+            assert canonical_key(g).bits == permutation_min_mask(g), sorted(g.edges)
+
+
 def test_canonical_key_separates_nonisomorphic():
     star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
     path = path_graph(4)

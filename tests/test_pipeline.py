@@ -1,4 +1,5 @@
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -181,6 +182,33 @@ def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
     assert resumed.done["n04k000000000007"] == rec
     # a record is reused only under the key given for its own graph id
     assert Checkpoint(path, {"n04k000000000007": "cfg-b"}).done == {}
+
+
+def test_checkpoint_torn_tail_does_not_swallow_next_record(tmp_path):
+    # a run cut off mid-line leaves no final newline; the next record must start its own line
+    ckpt = tmp_path / "train.ckpt"
+    cfg = small_training_cfg()
+    graphs = build_training_set(cfg)
+    run_training(cfg, graphs=graphs[:3], checkpoint_path=ckpt)
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:-20])
+
+    full = run_training(cfg, graphs=graphs, checkpoint_path=ckpt)
+    lines = ckpt.read_text().splitlines()
+    parsed = []
+    for line in lines:
+        try:
+            parsed.append(json.loads(line)["graph_id"])
+        except json.JSONDecodeError:
+            pass
+    assert len(lines) == 7  # two whole lines, the torn one, then four new records
+    assert sorted(parsed) == sorted(full[0])  # every graph has one readable line
+
+    # a third run finds every graph done and appends nothing
+    before = ckpt.read_bytes()
+    again = run_training(cfg, graphs=graphs, checkpoint_path=ckpt)
+    assert ckpt.read_bytes() == before
+    assert again[2] == full[2]
 
 
 def test_checkpoint_record_visible_before_close(tmp_path):
