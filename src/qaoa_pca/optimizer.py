@@ -1,13 +1,10 @@
 """Derivative-free minimization with evaluation accounting, and per-graph multi-start search.
 
-COBYLA (via scipy) does the local search. The wrapper counts every objective
-execution, enforces the evaluation budget exactly, and always returns the best
-point visited rather than trusting the optimizer's final iterate.
-
-`scipy.optimize` is imported inside `minimize`, not at the top: it takes about
-half a second to load, and the CLI calls that optimize nothing (gen-graphs,
-fit-pca, compare, report, a fully resumed train or evaluate) import this module
-too. A pool worker pays the import on its first task.
+The local search is the package's own COBYLA (`cobyla.cobyla`), a generator
+that yields each point it needs evaluated. `minimize` drives it: it counts
+every objective execution, enforces the evaluation budget exactly, and always
+returns the best point visited rather than trusting the optimizer's final
+iterate.
 """
 
 from __future__ import annotations
@@ -18,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cobyla import cobyla
 from .engine import ParameterVector, objective, approximation_ratio
 from .graphs import WeightedGraph, graph_id
 from .maxcut import cost_diagonal
@@ -35,9 +33,9 @@ class OptimizerConfig:
     max_evals: int = 1000
 
     def __post_init__(self):
-        if not (0.0 < self.final_step < self.initial_step):
+        if not (0.0 < self.final_step < self.initial_step < math.inf):
             raise ValueError(
-                f"need 0 < final_step < initial_step, got {self.final_step} / {self.initial_step}"
+                f"need 0 < final_step < initial_step < inf, got {self.final_step} / {self.initial_step}"
             )
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
@@ -64,10 +62,6 @@ class OptResult:
     converged: bool
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def tqa_init(p: int, dt: float) -> ParameterVector:
     """Linear annealing schedule: gamma_i = (i/p) dt, beta_i = (1 - i/p) dt, i = 1..p."""
     if p < 1:
@@ -85,38 +79,24 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     Returns the best point actually visited. converged is False exactly when
     the run stopped because the budget ran out.
     """
-    import scipy.optimize  # deferred: see the module docstring
-
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1 or x0.size < 1:
-        raise ValueError(f"x0 must be a nonempty 1-d vector, got shape {x0.shape}")
-
     evals = 0
     best_x = None
     best_val = math.inf
-
-    def wrapped(x):
-        nonlocal evals, best_x, best_val
-        if evals >= cfg.max_evals:
-            raise _BudgetExhausted
+    search = cobyla(x0, cfg.initial_step, cfg.final_step, cfg.max_evals)
+    x = next(search)  # x0 as float64, or ValueError for a malformed x0
+    while evals < cfg.max_evals:
+        x = x.copy()  # f may keep or change its argument; the search keeps the point it yielded
         val = float(f(x))
         evals += 1
         if evals == 1 and not math.isfinite(val):
             raise NonFiniteObjectiveError(f"objective is {val} at the starting point {x0}")
         if val < best_val:
             best_val = val
-            best_x = np.array(x, dtype=np.float64, copy=True)
-        return val
-
-    try:
-        scipy.optimize.minimize(
-            wrapped,
-            x0,
-            method="COBYLA",
-            options={"rhobeg": cfg.initial_step, "tol": cfg.final_step, "maxiter": cfg.max_evals},
-        )
-    except _BudgetExhausted:
-        pass
+            best_x = x
+        try:
+            x = search.send(val)
+        except StopIteration:
+            break
 
     return OptResult(
         best_params=tuple(float(v) for v in best_x),

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .graphs import (
     MAX_CANONICAL_VERTICES,
@@ -238,8 +237,8 @@ def _run_stage(
     Two isomorphic graphs would share an id, so they are rejected. Each record
     reaches the checkpoint as soon as it arrives. A checkpointed record is
     reused only under the key of what it was computed from: fn, the shared
-    arguments, the numpy and scipy versions (COBYLA's trajectory depends on
-    scipy) and the weighted graph.
+    arguments, the numpy version (the optimizer's trajectory depends on numpy's
+    arithmetic) and the weighted graph.
     """
     ids = [graph_id(wg.graph) for wg in graphs]
     todo = dict(zip(ids, graphs))
@@ -250,7 +249,7 @@ def _run_stage(
     done = {}
     if checkpoint_path:
         parts: list[bytes] = []
-        _encode((fn.__qualname__, shared, np.__version__, scipy.__version__), parts)
+        _encode((fn.__qualname__, shared, np.__version__), parts)
         stage = hashlib.sha256(b"".join(parts))
         keys = {}
         for gid, wg in todo.items():

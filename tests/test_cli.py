@@ -149,11 +149,17 @@ def test_provenance_hashes_input_contents_not_paths(tmp_path):
 
 
 def test_cli_startup_leaves_scipy_optimize_unloaded(tmp_path):
-    # only optimizing calls pay for scipy.optimize, about half a second to import
+    # the package runs its own COBYLA: not even a call that optimizes loads scipy
+    graphs = str(tmp_path / "g.graphs")
+    train = ["train", "--graphs", graphs, "--p", "1", "--max-evals", "20", "--workers", "1",
+             "--out", str(tmp_path / "m.csv")]
     code = (
         "import sys, qaoa_pca.cli\n"
-        f"assert qaoa_pca.cli.main(['gen-graphs', '--n', '4', '--out', {str(tmp_path / 'g.graphs')!r}]) == 0\n"
+        f"assert qaoa_pca.cli.main(['gen-graphs', '--n', '4', '--out', {graphs!r}]) == 0\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        f"assert qaoa_pca.cli.main({train!r}) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, f'train imported {loaded}'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=120)

@@ -25,6 +25,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(final_step=-1e-4)
     with pytest.raises(ValueError):
+        OptimizerConfig(initial_step=float("inf"))
+    with pytest.raises(ValueError):
         OptimizerConfig(max_evals=0)
     with pytest.raises(ValueError):
         TQAConfig(dt_grid=())
@@ -122,6 +124,8 @@ def test_minimize_rejects_non_finite_start():
 def test_minimize_rejects_empty_x0():
     with pytest.raises(ValueError):
         minimize(lambda x: 0.0, np.array([]))
+    with pytest.raises(ValueError):
+        minimize(lambda x: 0.0, np.array([0.5, np.nan]))
 
 
 def test_train_graph_k2_single_layer_near_exact():
@@ -156,7 +160,6 @@ def test_train_graph_deterministic():
     assert a == b
 
 
-@pytest.mark.filterwarnings("ignore:COBYLA")  # scipy notes that 1 evaluation is below its minimum
 def test_train_graph_ignores_grid_order():
     # seeds run in ascending time step whatever the grid order, so ties go to the smaller step
     wg = triangle()
