@@ -15,13 +15,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .graphs import load_graph_set, save_graph_set
-from .optimizer import OptimizerConfig, TQAConfig
+from .optimizer import OptimizerConfig
 from .pca import ParameterMatrix, fit, load_model, save_model
 from .pipeline import (
     BASELINE_KINDS,
     REPORT_CONFIGURATIONS,
     EvalConfig,
-    TRAINING_SETS,
     TrainingConfig,
     build_eval_set,
     build_graph_set,
@@ -125,15 +124,7 @@ def _cmd_train(args) -> int:
     graphs = load_graph_set(args.graphs)
     if not graphs:
         raise ValueError(f"{args.graphs}: no graphs to train on")
-    ns = sorted({wg.graph.n for wg in graphs})
-    cfg = TrainingConfig(
-        training_set=args.label,
-        p=args.p,
-        vertex_range=(ns[0], ns[-1]),
-        seed=args.seed,
-        optimizer=OptimizerConfig(max_evals=args.max_evals),
-        tqa=TQAConfig(),
-    )
+    cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
     ids, matrix, records = run_training(
         cfg, graphs=graphs, checkpoint_path=args.checkpoint, workers=args.workers
     )
@@ -163,9 +154,7 @@ def _cmd_evaluate(args) -> int:
     if args.standard:
         if args.p is None:
             raise ValueError("--standard needs --p")
-        records = evaluate_standard(
-            args.p, eval_set, TQAConfig(), opt, checkpoint_path=args.checkpoint, workers=args.workers
-        )
+        records = evaluate_standard(args.p, eval_set, opt, checkpoint_path=args.checkpoint, workers=args.workers)
     else:
         if args.model is None or args.components is None or args.matrix is None:
             raise ValueError("evaluate needs --standard --p, or --model, --components and --matrix")
@@ -254,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", parents=[common], help="optimize every graph, save the parameter matrix")
     p_train.add_argument("--graphs", required=True, help="graph-set file to train on")
     p_train.add_argument("--p", type=int, required=True, choices=(1, 2, 4, 8), help="circuit layers")
-    p_train.add_argument("--label", choices=TRAINING_SETS, default="unweighted", help="training-set label")
     p_train.add_argument("--records", default=None, help="also write per-run records CSV here")
     p_train.add_argument("--checkpoint", default=None, help="append-only resume file")
     p_train.add_argument("--max-evals", type=int, default=1000, help="objective evaluation budget per start")

@@ -291,24 +291,15 @@ def _trstep(g, delta):
     a = [abs(v) for v in c]
     cq = [0.0 if b >= b + 0.1 * b or b + 0.1 * b >= b + 0.2 * b else v for v, b in zip(c, a)]
     z0 = [0.0] * (n - 1) + [1.0]
-    rotations = []
     for k in range(n - 2, -1, -1):
         if abs(cq[k + 1]) > 0:
             cos, sin = _planerot(cq[k], cq[k + 1])
-            rotations.append((k, cos, sin))
             z0 = [(1.0 if i == k else 0.0) * cos + v * sin for i, v in enumerate(z0)]
             cq[k] = float(np.hypot(cq[k], cq[k + 1]))
         else:
             z0 = [1.0 if i == k else 0.0 for i in range(n)]
-    if all(z0):
-        z0 = np.array(z0)
-    else:
-        # each row of z[:, [k, k+1]] @ G.T adds an exact zero, but a zero result may take either
-        # sign under BLAS, so replay the products
-        z = np.eye(n)
-        for k, cos, sin in rotations:
-            z[:, [k, k + 1]] = z[:, [k, k + 1]] @ np.array([[cos, sin], [0.0 - sin, cos]]).T
-        z0 = z[:, 0]
+    # PRIMA's BLAS products may give a zero of z0 either sign; + 0.0 below makes every zero of d +0
+    z0 = np.array(z0)
     zdota = cq[0]
     if not (abs(zdota) > EPS**2 and not _isminor(zdota, a[0])):
         return zero

@@ -5,6 +5,10 @@ that yields each point it needs evaluated. `minimize` drives it: it counts
 every objective execution, enforces the evaluation budget exactly, and always
 returns the best point visited rather than trusting the optimizer's final
 iterate.
+
+Three constants fix what no run varies: `TQA_STEPS`, the Trotterized-annealing
+time steps that seed each standard run, in ascending order, and `INITIAL_STEP`
+and `FINAL_STEP`, COBYLA's first and last trust-region radius.
 """
 
 from __future__ import annotations
@@ -17,9 +21,13 @@ import numpy as np
 
 from .cobyla import cobyla
 from .engine import ParameterVector, objective, approximation_ratio
-from .graphs import WeightedGraph, graph_id
+from .graphs import WeightedGraph
 from .maxcut import cost_diagonal
 from .records import RunRecord, METHOD_STANDARD
+
+TQA_STEPS = (0.1, 0.3, 0.5, 0.7, 0.9)
+INITIAL_STEP = 0.5
+FINAL_STEP = 1e-4
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -28,30 +36,11 @@ class NonFiniteObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    initial_step: float = 0.5
-    final_step: float = 1e-4
     max_evals: int = 1000
 
     def __post_init__(self):
-        if not (0.0 < self.final_step < self.initial_step < math.inf):
-            raise ValueError(
-                f"need 0 < final_step < initial_step < inf, got {self.final_step} / {self.initial_step}"
-            )
         if self.max_evals < 1:
             raise ValueError(f"max_evals must be at least 1, got {self.max_evals}")
-
-
-@dataclass(frozen=True)
-class TQAConfig:
-    """Grid of Trotterized-annealing time steps used to seed the optimizer."""
-
-    dt_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-    def __post_init__(self):
-        if len(self.dt_grid) == 0:
-            raise ValueError("dt_grid must not be empty")
-        if any(dt <= 0 for dt in self.dt_grid):
-            raise ValueError(f"dt_grid entries must be positive, got {self.dt_grid}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +71,7 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     evals = 0
     best_x = None
     best_val = math.inf
-    search = cobyla(x0, cfg.initial_step, cfg.final_step, cfg.max_evals)
+    search = cobyla(x0, INITIAL_STEP, FINAL_STEP, cfg.max_evals)
     x = next(search)  # x0 as float64, or ValueError for a malformed x0
     while evals < cfg.max_evals:
         x = x.copy()  # f may keep or change its argument; the search keeps the point it yielded
@@ -146,15 +135,10 @@ def optimize_graph(
     )
 
 
-def train_graph(
-    wg: WeightedGraph,
-    p: int,
-    tqa: TQAConfig = TQAConfig(),
-    cfg: OptimizerConfig = OptimizerConfig(),
-) -> RunRecord:
-    """Optimize one graph at depth p from every annealing seed in the grid.
+def train_graph(wg: WeightedGraph, gid: str, p: int, cfg: OptimizerConfig = OptimizerConfig()) -> RunRecord:
+    """Optimize graph `gid` at depth p from the annealing seed of every step in TQA_STEPS.
 
     Seeds run in ascending time step, so ties go to the smaller step.
     """
-    starts = (tqa_init(p, dt).as_array() for dt in sorted(tqa.dt_grid))
-    return optimize_graph(wg, graph_id(wg.graph), METHOD_STANDARD, starts, ParameterVector.from_array, cfg)
+    starts = (tqa_init(p, dt).as_array() for dt in TQA_STEPS)
+    return optimize_graph(wg, gid, METHOD_STANDARD, starts, ParameterVector.from_array, cfg)

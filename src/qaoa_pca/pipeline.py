@@ -30,7 +30,7 @@ from .graphs import (
     sample_connected_nonisomorphic,
     unit_weights,
 )
-from .optimizer import OptimizerConfig, TQAConfig, optimize_graph, train_graph
+from .optimizer import OptimizerConfig, optimize_graph, train_graph
 from .pca import CoefficientVector, ParameterMatrix, PCAModel, expand, sample_coefficients
 from .records import METHOD_PCA, ComparisonRow, RunRecord, record_from_dict, record_to_dict
 from .stats import PairedSample, median, wilcoxon_signed_rank
@@ -64,7 +64,6 @@ class TrainingConfig:
     vertex_range: tuple[int, int] = (5, 7)
     seed: int = 0
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    tqa: TQAConfig = field(default_factory=TQAConfig)
 
     def __post_init__(self):
         if self.training_set not in TRAINING_SETS:
@@ -178,8 +177,7 @@ def build_training_set(cfg: TrainingConfig) -> list[WeightedGraph]:
     return build_graph_set(lo, hi, cfg.training_set == "weighted", cfg.seed)
 
 
-def _pca_task(wg, model, training_X, k, restarts, seed, opt) -> RunRecord:
-    gid = graph_id(wg.graph)
+def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
     starts = (
         sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r)).coeffs
         for r in range(restarts)
@@ -232,7 +230,7 @@ def _encode(obj, out: list[bytes]) -> None:
 def _run_stage(
     graphs: list[WeightedGraph], fn, shared: tuple, checkpoint_path, workers: int
 ) -> dict[str, RunRecord]:
-    """fn(wg, *shared) on each graph; the records by graph id, in graph order.
+    """fn(wg, gid, *shared) on each graph; the records by graph id, in graph order.
 
     Two isomorphic graphs would share an id, so they are rejected. Each record
     reaches the checkpoint as soon as it arrives. A checkpointed record is
@@ -263,9 +261,7 @@ def _run_stage(
         done = dict(checkpoint.done)
     pending = [gid for gid in todo if gid not in done]
     try:
-        for gid, rec in zip(pending, _map_tasks(fn, [(todo[gid], *shared) for gid in pending], workers)):
-            if rec.graph_id != gid:
-                raise RuntimeError(f"task for {gid} produced record for {rec.graph_id}")
+        for gid, rec in zip(pending, _map_tasks(fn, [(todo[gid], gid, *shared) for gid in pending], workers)):
             done[gid] = rec
             if checkpoint:
                 checkpoint.add(rec)
@@ -281,10 +277,13 @@ def run_training(
     checkpoint_path=None,
     workers: int = 1,
 ) -> tuple[list[str], ParameterMatrix, list[RunRecord]]:
-    """Train every graph at depth cfg.p; rows keep the graph-set order."""
+    """Train every graph at depth cfg.p; rows keep the graph-set order.
+
+    cfg.training_set, vertex_range and seed choose the graphs only when `graphs` is None.
+    """
     if graphs is None:
         graphs = build_training_set(cfg)
-    done = _run_stage(graphs, train_graph, (cfg.p, cfg.tqa, cfg.optimizer), checkpoint_path, workers)
+    done = _run_stage(graphs, train_graph, (cfg.p, cfg.optimizer), checkpoint_path, workers)
     rows = np.array([rec.best_params for rec in done.values()], dtype=np.float64)
     return list(done), ParameterMatrix(rows), list(done.values())
 
@@ -292,13 +291,12 @@ def run_training(
 def evaluate_standard(
     p: int,
     eval_set: list[WeightedGraph],
-    tqa: TQAConfig = TQAConfig(),
     optimizer_cfg: OptimizerConfig = OptimizerConfig(),
     checkpoint_path=None,
     workers: int = 1,
 ) -> list[RunRecord]:
     """Full-parameter runs on each evaluation graph, sorted by graph id."""
-    done = _run_stage(eval_set, train_graph, (p, tqa, optimizer_cfg), checkpoint_path, workers)
+    done = _run_stage(eval_set, train_graph, (p, optimizer_cfg), checkpoint_path, workers)
     return [done[gid] for gid in sorted(done)]
 
 

@@ -20,6 +20,7 @@ from qaoa_pca.graphs import (
     _enumerate_cached,
     assign_random_weights,
     enumerate_connected_nonisomorphic,
+    graph_id,
     unit_weights,
 )
 from qaoa_pca.maxcut import cost_diagonal
@@ -121,7 +122,7 @@ def test_criterion_3_single_edge_exactness():
     grid_ratio = approximation_ratio(best, -1.0)
     assert grid_ratio >= 0.9999
 
-    rec = train_graph(k2, 1)
+    rec = train_graph(k2, graph_id(k2.graph), 1)
     assert rec.approx_ratio >= 0.999
     announce(3, f"train ratio {rec.approx_ratio:.6f} (grid oracle attains {grid_ratio:.6f})")
 

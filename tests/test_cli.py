@@ -242,6 +242,24 @@ def test_train_resumes_across_seeds(tmp_path):
     assert np.array_equal(rows[0][1], rows[1][1])
 
 
+def test_train_on_eight_vertices_matches_standard_evaluation(tmp_path):
+    # train and evaluate --standard do the same per-graph work, so both take an 8-vertex set
+    graphs = tmp_path / "g.graphs"
+    assert run("gen-graphs", "--n", "8", "--count", "2", "--weighted", "--out", graphs,
+               "--no-timestamp") == 0
+    trained, evaluated = tmp_path / "train.csv", tmp_path / "std.csv"
+    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "40", "--records", trained,
+               "--out", tmp_path / "m.csv", "--no-timestamp", "--workers", "1") == 0
+    assert run("evaluate", "--graphs", graphs, "--standard", "--p", "1", "--max-evals", "40",
+               "--out", evaluated, "--no-timestamp", "--workers", "1") == 0
+
+    def rows(path):
+        return sorted(line for line in path.read_text().splitlines() if not line.startswith("#"))
+
+    assert len(rows(trained)) == 3  # header and two records
+    assert rows(trained) == rows(evaluated)
+
+
 def test_evaluate_component_bound_names_limit(tmp_path, capsys):
     graphs = tmp_path / "g.graphs"
     matrix = tmp_path / "m.csv"

@@ -17,6 +17,7 @@ import scipy.optimize
 from qaoa_pca import optimizer
 from qaoa_pca.cobyla import _trstep, cobyla
 from qaoa_pca.engine import ParameterVector, objective
+from qaoa_pca.graphs import graph_id
 from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.optimizer import NonFiniteObjectiveError, OptimizerConfig, OptResult, minimize, train_graph
 from qaoa_pca.pca import ParameterMatrix, load_model
@@ -57,7 +58,7 @@ def scipy_minimize(f, x0, cfg=OptimizerConfig()):
                 wrapped,
                 x0,
                 method="COBYLA",
-                options={"rhobeg": cfg.initial_step, "tol": cfg.final_step, "maxiter": cfg.max_evals},
+                options={"rhobeg": optimizer.INITIAL_STEP, "tol": optimizer.FINAL_STEP, "maxiter": cfg.max_evals},
             )
     except _BudgetExhausted:
         pass
@@ -114,7 +115,7 @@ def test_train_p2_graphs_every_tqa_start(check_every_start):
     every = build_graph_set(5, 6, weighted=False, seed=2024)
     graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:2]]
     for wg in graphs:
-        train_graph(wg, 2)
+        train_graph(wg, graph_id(wg.graph), 2)
     assert len(check_every_start) == 20
 
 
@@ -191,7 +192,7 @@ def test_generator_driven_by_hand_gives_minimize_result():
     cfg = OptimizerConfig()
 
     points, values = [], []
-    search = cobyla(x0, cfg.initial_step, cfg.final_step, cfg.max_evals)
+    search = cobyla(x0, optimizer.INITIAL_STEP, optimizer.FINAL_STEP, cfg.max_evals)
     x = next(search)
     try:
         while True:

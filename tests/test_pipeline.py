@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qaoa_pca.engine import ParameterVector, approximation_ratio, objective
-from qaoa_pca.graphs import Graph, unit_weights
+from qaoa_pca.graphs import Graph, graph_id, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
-from qaoa_pca.optimizer import OptimizerConfig, TQAConfig
+from qaoa_pca.optimizer import OptimizerConfig
 from qaoa_pca.pca import ParameterMatrix, PCAModel, fit
 from qaoa_pca.pipeline import (
     Checkpoint,
@@ -330,7 +330,7 @@ def test_evaluate_pca_full_basis_recovers_training_quality(trained_model):
     trained_by_id = {r.graph_id: r.approx_ratio for r in train_records}
     for wg in graphs:
         # k = 2p: EvalConfig allows k <= p only, so the per-graph task is called directly
-        rec = _pca_task(wg, model, X, 4, 3, 9, OptimizerConfig(max_evals=300))
+        rec = _pca_task(wg, graph_id(wg.graph), model, X, 4, 3, 9, OptimizerConfig(max_evals=300))
         assert rec.approx_ratio >= trained_by_id[rec.graph_id] - 0.05
 
 
