@@ -14,6 +14,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .graphs import load_graph_set, save_graph_set
 from .optimizer import OptimizerConfig
 from .pca import ParameterMatrix, fit, load_model, save_model
@@ -77,7 +79,8 @@ def _timestamp(args) -> str | None:
 
 
 def _provenance(args, extra: dict | None = None) -> dict:
-    out = {"config": _args_hash(args), "seed": args.seed}
+    # results depend on numpy's arithmetic, so its version travels with them
+    out = {"config": _args_hash(args), "seed": args.seed, "numpy": np.__version__}
     out.update(extra or {})
     ts = _timestamp(args)
     if ts:
@@ -125,9 +128,7 @@ def _cmd_train(args) -> int:
     if not graphs:
         raise ValueError(f"{args.graphs}: no graphs to train on")
     cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
-    ids, matrix, records = run_training(
-        cfg, graphs=graphs, checkpoint_path=args.checkpoint, workers=args.workers
-    )
+    ids, matrix, records = run_training(cfg, graphs, checkpoint_path=args.checkpoint, workers=args.workers)
     write_matrix(args.out, ids, matrix.rows, provenance=_provenance(args))
     if args.records:
         write_records(args.records, records, provenance=_provenance(args))

@@ -8,7 +8,8 @@ the best point (the pole), `sim[:, j]` for j < n holds the offset of vertex j
 from it, and `simi` is the inverse of `sim[:, :n]`. The gradient of the linear
 interpolant is g = (fval[:n] - fval[n]) @ simi, and each iteration tries the
 step of length delta along -g, or moves a vertex to repair the geometry, or
-shrinks rho, the resolution, until rho reaches rhoend.
+shrinks rho, the resolution, until rho reaches RHOEND. The search starts at
+rho = delta = RHOBEG; both radii are constants, because no run varies them.
 
 It replays, operation for operation, PyPRIMA, the pure-Python PRIMA port
 behind SciPy 1.17.1's `minimize(method="COBYLA")` called with no constraints,
@@ -38,12 +39,13 @@ FUNCMAX = 1e30  # f is clipped to [-REALMAX, FUNCMAX], and NaN becomes FUNCMAX
 ETA1, ETA2 = 0.1, 0.7  # ratio thresholds for shrinking and for expanding delta
 GAMMA1, GAMMA2 = 0.5, 2.0  # delta shrink and expansion factors
 GAMMA3 = 1.5  # delta at or below GAMMA3 * rho is set to rho
+RHOBEG, RHOEND = 0.5, 1e-4  # the first and the last trust-region radius
 
 
-def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
+def cobyla(x0, maxfun: int):
     """Minimize from x0 by COBYLA: yields each point at which f is needed, receives f there by send().
 
-    The generator returns when the method stops: rho has reached rhoend, the
+    The generator returns when the method stops: rho has reached RHOEND, the
     simplex has degenerated, x or f has become non-finite, or maxfun points
     have been evaluated (at least n+2, as PRIMA requires). A point that repeats the last evaluated one exactly is
     not yielded again; its value is reused. The yielded arrays must not be
@@ -55,10 +57,6 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
         raise ValueError(f"x0 must be a nonempty 1-d vector, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 must be finite, got {x}")
-    if not 0.0 < rhoend <= rhobeg < math.inf:
-        raise ValueError(f"need 0 < rhoend <= rhobeg < inf, got {rhoend} / {rhobeg}")
-    if abs(rhobeg - rhoend) < 1e2 * EPS * max(abs(rhobeg), 1):
-        rhoend = rhobeg
     maxfun = max(maxfun, n + 2)
     eye = np.eye(n)
 
@@ -79,8 +77,8 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
             x = np.clip(x, -REALMAX, REALMAX)
         return _moderatef((yield from call(x)))
 
-    # initial simplex: x0 and x0 + rhobeg e_j, the best point so far as pole
-    sim = np.eye(n, n + 1) * rhobeg
+    # initial simplex: x0 and x0 + RHOBEG e_j, the best point so far as pole
+    sim = np.eye(n, n + 1) * RHOBEG
     sim[:, n] = x
     fval = np.zeros(n + 1) + REALMAX
     for k in range(n + 1):
@@ -89,7 +87,7 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
             j = n
         else:
             j = k - 1
-            x[j] += rhobeg
+            x[j] += RHOBEG
             f = yield from evaluate(x)
         fval[j] = f
         if _stop(k, maxfun, f, x):
@@ -97,7 +95,7 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
         if j < n and fval[j] < fval[n]:
             fval[j], fval[n] = fval[n], fval[j]
             sim[:, n] = x
-            sim[j, : j + 1] = -rhobeg
+            sim[j, : j + 1] = -RHOBEG
     simi = np.linalg.inv(sim[:, :n])
     nf = n + 1
 
@@ -159,15 +157,15 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
         return distsq
 
     def try_point(d):
-        """f at sim[:, n] + d, or the value of a vertex within 1e-4 rhoend of it: (x, f, evaluated)."""
+        """f at sim[:, n] + d, or the value of a vertex within 1e-4 RHOEND of it: (x, f, evaluated)."""
         x = sim[:, n] + d
         distsq = sqdist(x)
         j = np.argmin(distsq)
-        if distsq[j] <= (1e-4 * rhoend) * (1e-4 * rhoend):
+        if distsq[j] <= (1e-4 * RHOEND) * (1e-4 * RHOEND):
             return x, fval[j], False
         return x, (yield from evaluate(x)), True
 
-    rho = delta = rhobeg
+    rho = delta = RHOBEG
     d = None
     shortd = False
     ratio = -1
@@ -215,11 +213,11 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
                 if not ok or _stop(nf, maxfun, f, x):
                     return
         elif max(delta, dnorm) <= rho:
-            if rho <= rhoend:
+            if rho <= RHOEND:
                 small_radius = True
                 break
-            delta = max(0.5 * rho, _redrho(rho, rhoend))
-            rho = _redrho(rho, rhoend)
+            delta = max(0.5 * rho, _redrho(rho))
+            rho = _redrho(rho)
             simi, ok = updatepole(sim, simi)
             if not ok:
                 return
@@ -227,7 +225,7 @@ def cobyla(x0, rhobeg: float, rhoend: float, maxfun: int):
         return
     # a last short trust-region step that was never tried
     x = sim[:, n] + d
-    if small_radius and shortd and np.linalg.norm(x - sim[:, n]) > 1.0e-3 * rhoend and nf < maxfun:
+    if small_radius and shortd and np.linalg.norm(x - sim[:, n]) > 1.0e-3 * RHOEND and nf < maxfun:
         yield from evaluate(x)
 
 
@@ -343,14 +341,14 @@ def _trrad(delta, dnorm, ratio):
     return max(GAMMA1 * delta, GAMMA2 * dnorm)
 
 
-def _redrho(rho, rhoend):
-    """The next resolution: a tenth of rho far from rhoend, then a geometric step, then rhoend."""
-    rho_ratio = rho / rhoend
+def _redrho(rho):
+    """The next resolution: a tenth of rho far from RHOEND, then a geometric step, then RHOEND."""
+    rho_ratio = rho / RHOEND
     if rho_ratio > 250:
         return 0.1 * rho
     if rho_ratio <= 16:
-        return rhoend
-    return math.sqrt(rho_ratio) * rhoend
+        return RHOEND
+    return math.sqrt(rho_ratio) * RHOEND
 
 
 def _setdrop_tr(ximproved, d, delta, rho, sim, simi):

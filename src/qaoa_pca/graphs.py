@@ -5,6 +5,11 @@ upper-triangular adjacency bitmask: pair (u, v) with u < v occupies bit
 ``pair_index(u, v)``, pairs ordered (0,1), (0,2), ..., (0,n-1), (1,2), ...
 Isomorphism classes are identified by the minimum bitmask over all vertex
 relabelings (the canonical key).
+
+`MAX_VERTICES` is the one vertex bound of the package, enforced by `Graph`:
+every stage names a record by its canonical key, which tabulates all n!
+relabelings, so no graph has more than 8 vertices. Exhaustive enumeration
+walks all 2^C(n,2) edge sets and stops earlier, at `MAX_ENUMERATION_VERTICES`.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ import numpy as np
 
 from .records import write_text_atomic
 
-MAX_VERTICES = 16
-MAX_CANONICAL_VERTICES = 8  # canonical key tabulates all n! relabelings
+MAX_VERTICES = 8
 MAX_ENUMERATION_VERTICES = 7
 
 GRAPH_SET_HEADER = "# graph-set v1"
@@ -167,10 +171,6 @@ def _orbit_masks(n: int, mask: int) -> np.ndarray:
 
 def canonical_key(g: Graph) -> CanonicalKey:
     """Minimum adjacency bitmask over all n! relabelings; equal keys iff isomorphic."""
-    if g.n > MAX_CANONICAL_VERTICES:
-        raise ValueError(
-            f"canonical key supports at most {MAX_CANONICAL_VERTICES} vertices, got {g.n}"
-        )
     return CanonicalKey(g.n, int(_orbit_masks(g.n, graph_to_mask(g)).min()))
 
 
@@ -178,40 +178,18 @@ def graph_id(g: Graph) -> str:
     return canonical_key(g).id_string()
 
 
-def _connected_masks(n: int) -> np.ndarray:
-    """All edge bitmasks of connected n-vertex graphs, ascending (vectorized BFS)."""
-    npairs = n * (n - 1) // 2
-    masks = np.arange(1 << npairs, dtype=np.uint32)
-    adj = np.zeros((n, masks.size), dtype=np.uint16)
-    for k, (u, v) in enumerate(_pairs(n)):
-        bit = ((masks >> np.uint32(k)) & np.uint32(1)).astype(np.uint16)
-        adj[u] |= bit << np.uint16(v)
-        adj[v] |= bit << np.uint16(u)
-    reach = np.ones(masks.size, dtype=np.uint16)
-    for _ in range(n - 1):
-        grown = reach.copy()
-        for v in range(n):
-            sel = (reach >> np.uint16(v)) & np.uint16(1)
-            grown |= adj[v] * sel
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    return masks[reach == np.uint16((1 << n) - 1)]
-
-
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[int, ...]:
-    conn = _connected_masks(n)
     seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
     reps: list[int] = []
-    for m in conn:
-        m = int(m)
+    for m in range(seen.size):
         if seen[m]:
             continue
         # ascending sweep: the smallest unseen mask is the minimum of its orbit,
         # i.e. the canonical key of its isomorphism class
         seen[_orbit_masks(n, m).astype(np.int64)] = True
-        reps.append(m)
+        if is_connected(graph_from_mask(n, m)):
+            reps.append(m)
     return tuple(reps)
 
 
@@ -235,8 +213,8 @@ def sample_connected_nonisomorphic(n: int, count: int, seed: int) -> list[Graph]
     isomorphism classes. Deterministic given `seed`. Raises if `count` distinct
     classes are not found within the attempt budget.
     """
-    if not 2 <= n <= MAX_CANONICAL_VERTICES:
-        raise ValueError(f"sampling supports 2..{MAX_CANONICAL_VERTICES} vertices, got {n}")
+    if not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"sampling supports 2..{MAX_VERTICES} vertices, got {n}")
     if count < 1:
         raise ValueError("count must be >= 1")
     attempt_budget = max(10_000, 200 * count)
@@ -304,6 +282,7 @@ def load_graph_set(path) -> list[WeightedGraph]:
             n, m = int(header[0]), int(header[1])
         except ValueError:
             fail(i + 1, f"expected integers in record header, got {raw[i]!r}")
+        header_line = i + 1
         i += 1
         edges: dict[tuple[int, int], float] = {}
         while len(edges) < m:
@@ -330,6 +309,6 @@ def load_graph_set(path) -> list[WeightedGraph]:
             i += 1
         try:
             graphs.append(WeightedGraph(Graph(n, frozenset(edges)), edges))
-        except ValueError as exc:
-            fail(i, str(exc))
+        except ValueError as exc:  # the vertex bound, checked by Graph
+            fail(header_line, str(exc))
     return graphs

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph
-
-MAX_QUBITS = 16
+from .graphs import MAX_VERTICES, WeightedGraph
 
 
 @dataclass(frozen=True)
@@ -25,8 +23,8 @@ class Assignment:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"assignment length must be in 1..{MAX_QUBITS}, got {self.n}")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"assignment length must be in 1..{MAX_VERTICES}, got {self.n}")
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"assignment bits {self.bits:#x} out of range for n={self.n}")
 
@@ -45,8 +43,6 @@ def cut_value(wg: WeightedGraph, a: Assignment) -> float:
 def cost_diagonal(wg: WeightedGraph) -> np.ndarray:
     """Energy diagonal of length 2^n: entry b is E(z_b) = -C(z_b)."""
     n = wg.graph.n
-    if n > MAX_QUBITS:
-        raise ValueError(f"cost diagonal supports at most {MAX_QUBITS} vertices, got {n}")
     indices = np.arange(1 << n, dtype=np.uint32)
     cut = np.zeros(1 << n, dtype=np.float64)
     for (u, v), w in sorted(wg.weights.items()):

@@ -6,9 +6,9 @@ every objective execution, enforces the evaluation budget exactly, and always
 returns the best point visited rather than trusting the optimizer's final
 iterate.
 
-Three constants fix what no run varies: `TQA_STEPS`, the Trotterized-annealing
-time steps that seed each standard run, in ascending order, and `INITIAL_STEP`
-and `FINAL_STEP`, COBYLA's first and last trust-region radius.
+`TQA_STEPS` fixes what no run varies: the Trotterized-annealing time steps
+that seed each standard run, in ascending order. COBYLA's first and last
+trust-region radius are constants of `cobyla.py`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .maxcut import cost_diagonal
 from .records import RunRecord, METHOD_STANDARD
 
 TQA_STEPS = (0.1, 0.3, 0.5, 0.7, 0.9)
-INITIAL_STEP = 0.5
-FINAL_STEP = 1e-4
 
 
 class NonFiniteObjectiveError(ValueError):
@@ -71,7 +69,7 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     evals = 0
     best_x = None
     best_val = math.inf
-    search = cobyla(x0, INITIAL_STEP, FINAL_STEP, cfg.max_evals)
+    search = cobyla(x0, cfg.max_evals)
     x = next(search)  # x0 as float64, or ValueError for a malformed x0
     while evals < cfg.max_evals:
         x = x.copy()  # f may keep or change its argument; the search keeps the point it yielded

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (
-    MAX_CANONICAL_VERTICES,
     Graph,
     WeightedGraph,
     assign_random_weights,
@@ -59,6 +58,8 @@ def config_hash(cfg) -> str:
 
 @dataclass(frozen=True)
 class TrainingConfig:
+    # training_set, vertex_range and seed are read by nothing in the package;
+    # they stay because the benchmark workloads pass them (ROADMAP item 2)
     training_set: str = "unweighted"
     p: int = 2
     vertex_range: tuple[int, int] = (5, 7)
@@ -66,21 +67,16 @@ class TrainingConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        if self.training_set not in TRAINING_SETS:
-            raise ValueError(f"training_set must be one of {TRAINING_SETS}, got {self.training_set!r}")
         if self.p not in (1, 2, 4, 8):
             raise ValueError(f"p must be one of 1, 2, 4, 8, got {self.p}")
-        lo, hi = self.vertex_range
-        if not (2 <= lo <= hi <= 7):
-            raise ValueError(f"vertex_range must satisfy 2 <= lo <= hi <= 7, got {self.vertex_range}")
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     p: int
     k_components: int
-    # n_eval, count and model_ref are read by nothing in the package; they stay,
-    # validated, because the benchmark workloads pass them (ROADMAP item 2)
+    # n_eval, count and model_ref are read by nothing in the package; they stay
+    # because the benchmark workloads pass them (ROADMAP item 2)
     n_eval: int = 8
     count: int = 1000
     restarts: int = 5
@@ -99,10 +95,6 @@ class EvalConfig:
             raise ValueError(f"k_components must be even, got {self.k_components}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.count < 1:
-            raise ValueError(f"count must be at least 1, got {self.count}")
-        if not (2 <= self.n_eval <= MAX_CANONICAL_VERTICES):
-            raise ValueError(f"n_eval must be in 2..{MAX_CANONICAL_VERTICES}, got {self.n_eval}")
 
 
 class Checkpoint:
@@ -170,11 +162,6 @@ def build_eval_set(n: int, count: int, seed: int, weighted: bool = True) -> list
     """`count` sampled non-isomorphic n-vertex instances with persistent weights."""
     graphs = sample_connected_nonisomorphic(n, count, stable_hash(seed, "eval-sample", n))
     return _attach_weights(graphs, weighted, seed)
-
-
-def build_training_set(cfg: TrainingConfig) -> list[WeightedGraph]:
-    lo, hi = cfg.vertex_range
-    return build_graph_set(lo, hi, cfg.training_set == "weighted", cfg.seed)
 
 
 def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
@@ -272,17 +259,9 @@ def _run_stage(
 
 
 def run_training(
-    cfg: TrainingConfig,
-    graphs: list[WeightedGraph] | None = None,
-    checkpoint_path=None,
-    workers: int = 1,
+    cfg: TrainingConfig, graphs: list[WeightedGraph], checkpoint_path=None, workers: int = 1
 ) -> tuple[list[str], ParameterMatrix, list[RunRecord]]:
-    """Train every graph at depth cfg.p; rows keep the graph-set order.
-
-    cfg.training_set, vertex_range and seed choose the graphs only when `graphs` is None.
-    """
-    if graphs is None:
-        graphs = build_training_set(cfg)
+    """Train every graph at depth cfg.p; rows keep the graph-set order."""
     done = _run_stage(graphs, train_graph, (cfg.p, cfg.optimizer), checkpoint_path, workers)
     rows = np.array([rec.best_params for rec in done.values()], dtype=np.float64)
     return list(done), ParameterMatrix(rows), list(done.values())

@@ -30,6 +30,7 @@ from qaoa_pca.pipeline import (
     EvalConfig,
     TrainingConfig,
     build_eval_set,
+    build_graph_set,
     compare,
     evaluate_pca,
     evaluate_standard,
@@ -128,8 +129,7 @@ def test_criterion_3_single_edge_exactness():
 
 
 def test_criterion_4_pca_suite():
-    cfg = TrainingConfig(p=2, vertex_range=(5, 5), seed=77)
-    _, X, _ = run_training(cfg)
+    _, X, _ = run_training(TrainingConfig(p=2), build_graph_set(5, 5, False, seed=77))
     rng = np.random.default_rng(4)
     synthetic = ParameterMatrix(rng.normal(0.0, 1.0, size=(40, 8)))
 
@@ -199,8 +199,7 @@ def test_criterion_5_statistics_oracle():
 @pytest.fixture(scope="module")
 def desk_scale_run():
     t0 = time.time()
-    cfg = TrainingConfig(training_set="unweighted", p=2, vertex_range=(5, 6), seed=2024)
-    _, X, _ = run_training(cfg)
+    _, X, _ = run_training(TrainingConfig(p=2), build_graph_set(5, 6, False, seed=2024))
     model = fit(X)
     eval_set = build_eval_set(7, 100, seed=2024)
     ecfg = EvalConfig(p=2, k_components=2, n_eval=7, count=100, restarts=5, seed=2024)

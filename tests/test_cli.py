@@ -291,6 +291,28 @@ def test_malformed_graph_file_fails_validation(tmp_path, capsys):
     assert "bad.graphs" in capsys.readouterr().err
 
 
+def test_train_rejects_a_nine_vertex_graph_at_its_line(tmp_path, capsys):
+    graphs = tmp_path / "big.graphs"
+    graphs.write_text("# graph-set v1\n\n9 1\n0 8 1.0\n")
+    out = tmp_path / "m.csv"
+    assert run("train", "--graphs", graphs, "--p", "2", "--out", out, "--workers", "1") == 1
+    assert f"{graphs}:3: vertex count must be in 1..8, got 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_provenance_names_the_numpy_version(tmp_path):
+    # results depend on numpy's arithmetic, so matrix and records files say which numpy made them
+    graphs = tmp_path / "g.graphs"
+    assert run("gen-graphs", "--n", "3", "--out", graphs, "--no-timestamp") == 0
+    matrix, trained, evaluated = tmp_path / "m.csv", tmp_path / "t.csv", tmp_path / "s.csv"
+    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "40", "--out", matrix,
+               "--records", trained, "--no-timestamp", "--workers", "1") == 0
+    assert run("evaluate", "--graphs", graphs, "--standard", "--p", "1", "--max-evals", "40",
+               "--out", evaluated, "--no-timestamp", "--workers", "1") == 0
+    for path in (matrix, trained, evaluated):
+        assert f"# numpy {np.__version__}" in path.read_text().splitlines(), path
+
+
 def test_compare_misaligned_exits_one(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_records(a, [RunRecord("n05k000000000001", "pca", 2, 2, 5, 0.5, (0.0,) * 4)])

@@ -15,7 +15,7 @@ import pytest
 import scipy.optimize
 
 from qaoa_pca import optimizer
-from qaoa_pca.cobyla import _trstep, cobyla
+from qaoa_pca.cobyla import RHOBEG, RHOEND, _trstep, cobyla
 from qaoa_pca.engine import ParameterVector, objective
 from qaoa_pca.graphs import graph_id
 from qaoa_pca.maxcut import cost_diagonal
@@ -58,7 +58,7 @@ def scipy_minimize(f, x0, cfg=OptimizerConfig()):
                 wrapped,
                 x0,
                 method="COBYLA",
-                options={"rhobeg": optimizer.INITIAL_STEP, "tol": optimizer.FINAL_STEP, "maxiter": cfg.max_evals},
+                options={"rhobeg": RHOBEG, "tol": RHOEND, "maxiter": cfg.max_evals},
             )
     except _BudgetExhausted:
         pass
@@ -192,7 +192,7 @@ def test_generator_driven_by_hand_gives_minimize_result():
     cfg = OptimizerConfig()
 
     points, values = [], []
-    search = cobyla(x0, optimizer.INITIAL_STEP, optimizer.FINAL_STEP, cfg.max_evals)
+    search = cobyla(x0, cfg.max_evals)
     x = next(search)
     try:
         while True:

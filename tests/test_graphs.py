@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaoa_pca.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphFormatError,
     WeightedGraph,
@@ -38,7 +39,7 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(0, frozenset())
     with pytest.raises(ValueError):
-        Graph(17, frozenset())
+        Graph(9, frozenset())
 
 
 def test_weighted_graph_validates_weights():
@@ -129,14 +130,16 @@ def test_canonical_key_id_string_format():
     assert key.id_string() == "n02k000000000001"
 
 
-def test_canonical_key_rejects_more_than_8_vertices():
+def test_graph_rejects_more_than_8_vertices():
+    assert MAX_VERTICES == 8
+    canonical_key(path_graph(8))
+    with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.8, got 9"):
+        path_graph(9)
     with pytest.raises(ValueError):
-        canonical_key(path_graph(9))
-    with pytest.raises(ValueError):
-        canonical_key(path_graph(11))
+        path_graph(11)
 
 
-@pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 6), (5, 21)])
+@pytest.mark.parametrize("n,count", [(2, 1), (3, 2), (4, 6), (5, 21), (6, 112), (7, 853)])
 def test_enumeration_counts_small(n, count):
     graphs = enumerate_connected_nonisomorphic(n)
     assert len(graphs) == count
@@ -222,3 +225,11 @@ def test_graph_set_malformed_inputs(tmp_path, body):
     with pytest.raises(GraphFormatError) as err:
         load_graph_set(path)
     assert str(path) in str(err.value)
+
+
+def test_graph_set_rejects_more_than_8_vertices_at_the_record_header(tmp_path):
+    path = tmp_path / "big.graphs"
+    path.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n\n9 2\n0 1 1.0\n7 8 0.5\n")
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_set(path)
+    assert str(err.value) == f"{path}:6: vertex count must be in 1..8, got 9"

@@ -19,7 +19,6 @@ from qaoa_pca.pipeline import (
     TrainingConfig,
     build_eval_set,
     build_graph_set,
-    build_training_set,
     compare,
     config_hash,
     evaluate_pca,
@@ -36,9 +35,13 @@ FAST_OPT = OptimizerConfig(max_evals=120)
 
 
 def small_training_cfg(**kw):
-    defaults = dict(p=2, vertex_range=(4, 4), seed=3, optimizer=FAST_OPT)
+    defaults = dict(p=2, optimizer=FAST_OPT)
     defaults.update(kw)
     return TrainingConfig(**defaults)
+
+
+def small_training_set():
+    return build_graph_set(4, 4, False, seed=3)
 
 
 def test_stable_hash_is_stable_and_sensitive():
@@ -58,13 +61,7 @@ def test_config_hash_tracks_content():
 
 def test_training_config_validation():
     with pytest.raises(ValueError):
-        TrainingConfig(training_set="mixed")
-    with pytest.raises(ValueError):
         TrainingConfig(p=3)
-    with pytest.raises(ValueError):
-        TrainingConfig(vertex_range=(5, 8))
-    with pytest.raises(ValueError):
-        TrainingConfig(vertex_range=(6, 5))
 
 
 def test_eval_config_validation():
@@ -75,10 +72,6 @@ def test_eval_config_validation():
         EvalConfig(p=8, k_components=3)  # odd component counts are not run
     with pytest.raises(ValueError):
         EvalConfig(p=2, k_components=2, restarts=0)
-    with pytest.raises(ValueError):
-        EvalConfig(p=2, k_components=2, n_eval=1)
-    with pytest.raises(ValueError):
-        EvalConfig(p=2, k_components=2, n_eval=9)  # canonical keys stop at 8 vertices
 
 
 def test_build_graph_set_counts_and_weights():
@@ -92,15 +85,6 @@ def test_build_graph_set_counts_and_weights():
     assert build_graph_set(4, 4, True, seed=6) != weighted_a
 
 
-def test_build_training_set_respects_config():
-    cfg = TrainingConfig(training_set="unweighted", vertex_range=(5, 5), seed=1)
-    graphs = build_training_set(cfg)
-    assert len(graphs) == 21
-    weighted = build_training_set(TrainingConfig(training_set="weighted", vertex_range=(5, 5), seed=1))
-    assert len(weighted) == 21
-    assert weighted != graphs
-
-
 def test_build_eval_set_deterministic():
     a = build_eval_set(6, 12, seed=9)
     b = build_eval_set(6, 12, seed=9)
@@ -109,10 +93,10 @@ def test_build_eval_set_deterministic():
 
 
 def test_run_training_shapes_and_energy_bound():
-    ids, X, records = run_training(small_training_cfg())
+    ids, X, records = run_training(small_training_cfg(), small_training_set())
     assert X.rows.shape == (6, 4)
     assert ids == sorted(ids)
-    for wg, row, rec in zip(build_training_set(small_training_cfg()), X.rows, records):
+    for wg, row, rec in zip(small_training_set(), X.rows, records):
         diag = cost_diagonal(wg)
         energy = objective(diag, ParameterVector.from_array(row))
         # optimized energy can never sit above the uniform-state value
@@ -121,21 +105,21 @@ def test_run_training_shapes_and_energy_bound():
 
 
 def test_run_training_deterministic():
-    a = run_training(small_training_cfg())
-    b = run_training(small_training_cfg())
+    a = run_training(small_training_cfg(), small_training_set())
+    b = run_training(small_training_cfg(), small_training_set())
     assert a[0] == b[0]
     assert np.array_equal(a[1].rows, b[1].rows)
     assert a[2] == b[2]
 
 
 def test_run_training_row_length_scales_with_p():
-    _, X, _ = run_training(small_training_cfg(p=4, optimizer=OptimizerConfig(max_evals=40)))
+    _, X, _ = run_training(small_training_cfg(p=4, optimizer=OptimizerConfig(max_evals=40)), small_training_set())
     assert X.rows.shape == (6, 8)
 
 
 def test_run_training_parallel_matches_serial():
-    serial = run_training(small_training_cfg())
-    parallel = run_training(small_training_cfg(), workers=2)
+    serial = run_training(small_training_cfg(), small_training_set())
+    parallel = run_training(small_training_cfg(), small_training_set(), workers=2)
     assert serial[0] == parallel[0]
     assert np.array_equal(serial[1].rows, parallel[1].rows)
     assert serial[2] == parallel[2]
@@ -144,7 +128,7 @@ def test_run_training_parallel_matches_serial():
 def test_run_training_checkpoint_resume(tmp_path):
     ckpt = tmp_path / "train.ckpt"
     cfg = small_training_cfg()
-    graphs = build_training_set(cfg)
+    graphs = small_training_set()
 
     # first pass covers only half the set
     run_training(cfg, graphs=graphs[:3], checkpoint_path=ckpt)
@@ -188,7 +172,7 @@ def test_checkpoint_torn_tail_does_not_swallow_next_record(tmp_path):
     # a run cut off mid-line leaves no final newline; the next record must start its own line
     ckpt = tmp_path / "train.ckpt"
     cfg = small_training_cfg()
-    graphs = build_training_set(cfg)
+    graphs = small_training_set()
     run_training(cfg, graphs=graphs[:3], checkpoint_path=ckpt)
     data = ckpt.read_bytes()
     ckpt.write_bytes(data[:-20])
@@ -295,8 +279,8 @@ def test_evaluate_standard_depth_helps_on_median():
 
 @pytest.fixture(scope="module")
 def trained_model():
-    cfg = TrainingConfig(p=2, vertex_range=(4, 4), seed=3, optimizer=OptimizerConfig(max_evals=300))
-    ids, X, records = run_training(cfg)
+    cfg = TrainingConfig(p=2, optimizer=OptimizerConfig(max_evals=300))
+    ids, X, records = run_training(cfg, small_training_set())
     return X, fit(X), records
 
 
@@ -326,7 +310,7 @@ def test_evaluate_pca_ratio_recomputes_from_stored_params(trained_model):
 def test_evaluate_pca_full_basis_recovers_training_quality(trained_model):
     """With every component retained, reduced runs should roughly match full training."""
     X, model, train_records = trained_model
-    graphs = build_training_set(TrainingConfig(p=2, vertex_range=(4, 4), seed=3))
+    graphs = small_training_set()
     trained_by_id = {r.graph_id: r.approx_ratio for r in train_records}
     for wg in graphs:
         # k = 2p: EvalConfig allows k <= p only, so the per-graph task is called directly
