@@ -7,11 +7,21 @@ as a butterfly on each amplitude pair (x, y) differing only in bit q:
 
     (x, y) -> (cos(beta) * x - i sin(beta) * y,  cos(beta) * y - i sin(beta) * x)
 
+Viewed as a (2^n / 2^(q+1), 2, 2^q) array, the state holds each pair along the
+middle axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's
+partner in its place. So one qubit's butterfly is three calls over the whole
+state: a = c * v, b = s * swapped, v = a - b. Every amplitude gets the same two
+complex products and the same subtraction, in the same operand order, as a
+per-half update (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) would give it, so
+the statevector is the same bit for bit. The views and scratch buffers are
+built once per `evolve` call, which makes the cost per layer 5 + 3n numpy calls.
+
 Cost is O(p * n * 2^n) amplitude updates; no gate matrices are materialized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +43,7 @@ class ParameterVector:
             )
         if len(self.gamma) < 1:
             raise ValueError("at least one layer is required")
-        if not all(np.isfinite(self.gamma)) or not all(np.isfinite(self.beta)):
+        if not all(map(math.isfinite, self.gamma + self.beta)):
             raise ValueError("all angles must be finite")
 
     @property
@@ -50,7 +60,8 @@ class ParameterVector:
         if theta.ndim != 1 or theta.size % 2 != 0 or theta.size < 2:
             raise ValueError(f"expected a flat vector of 2p angles, got shape {theta.shape}")
         p = theta.size // 2
-        return cls(tuple(theta[:p]), tuple(theta[p:]))
+        angles = theta.tolist()
+        return cls(tuple(angles[:p]), tuple(angles[p:]))
 
 
 def _qubit_count(size: int) -> int:
@@ -66,16 +77,24 @@ def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
     n = _qubit_count(diag.size)
     size = diag.size
     psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
+    phase = np.empty(size, dtype=np.complex128)
+    a = np.empty(size, dtype=np.complex128)
+    b = np.empty(size, dtype=np.complex128)
+    butterflies = []
+    for q in range(n):
+        shape = (size >> (q + 1), 2, 1 << q)
+        v = psi.reshape(shape)
+        butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
     for gamma, beta in zip(params.gamma, params.beta):
-        psi *= np.exp(-1j * gamma * diag)
+        np.multiply(-1j * gamma, diag, out=phase)
+        np.exp(phase, out=phase)
+        psi *= phase
         c = np.cos(beta)
         s = 1j * np.sin(beta)
-        for q in range(n):
-            pairs = psi.reshape(size >> (q + 1), 2, 1 << q)
-            lo = pairs[:, 0, :].copy()
-            hi = pairs[:, 1, :]
-            pairs[:, 0, :] = c * lo - s * hi
-            pairs[:, 1, :] = c * hi - s * lo
+        for v, swapped, av, bv in butterflies:
+            np.multiply(c, v, out=av)
+            np.multiply(s, swapped, out=bv)
+            np.subtract(av, bv, out=v)
     return psi
 
 

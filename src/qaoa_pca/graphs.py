@@ -259,7 +259,7 @@ def save_graph_set(path, graphs: list[WeightedGraph], timestamp: str | None = No
 
 
 def load_graph_set(path) -> list[WeightedGraph]:
-    """Parse a graph-set file: records of `n m` then m lines `u v w`, blank-line
+    """Parse a graph-set file: records of `n m` (m >= 1) then m lines `u v w`, blank-line
     separated, `#` comments allowed. Raises GraphFormatError naming the offending line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -282,6 +282,8 @@ def load_graph_set(path) -> list[WeightedGraph]:
             n, m = int(header[0]), int(header[1])
         except ValueError:
             fail(i + 1, f"expected integers in record header, got {raw[i]!r}")
+        if m < 1:
+            fail(i + 1, f"edge count must be at least 1, got {m}")
         header_line = i + 1
         i += 1
         edges: dict[tuple[int, int], float] = {}

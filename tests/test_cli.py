@@ -300,6 +300,15 @@ def test_train_rejects_a_nine_vertex_graph_at_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_rejects_an_edgeless_record_at_its_line(tmp_path, capsys):
+    graphs = tmp_path / "empty.graphs"
+    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n\n2 0\n")
+    out = tmp_path / "m.csv"
+    assert run("train", "--graphs", graphs, "--p", "2", "--out", out, "--workers", "1") == 1
+    assert f"{graphs}:6: edge count must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_provenance_names_the_numpy_version(tmp_path):
     # results depend on numpy's arithmetic, so matrix and records files say which numpy made them
     graphs = tmp_path / "g.graphs"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import warnings
 
@@ -44,6 +45,62 @@ def dense_objective(wg, params):
     return float(np.real(np.conj(psi) @ (diag * psi)))
 
 
+def reference_evolve(diag, params):
+    """The per-half butterfly: copy the low half of each pair, then write both halves."""
+    diag = np.asarray(diag, dtype=np.float64)
+    size = diag.size
+    n = size.bit_length() - 1
+    psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
+    for gamma, beta in zip(params.gamma, params.beta):
+        psi *= np.exp(-1j * gamma * diag)
+        c = np.cos(beta)
+        s = 1j * np.sin(beta)
+        for q in range(n):
+            pairs = psi.reshape(size >> (q + 1), 2, 1 << q)
+            lo = pairs[:, 0, :].copy()
+            hi = pairs[:, 1, :]
+            pairs[:, 0, :] = c * lo - s * hi
+            pairs[:, 1, :] = c * hi - s * lo
+    return psi
+
+
+def closed_form_p1(wg, gamma, beta):
+    """Single-layer energy in O(m * n), sharing no code with `evolve`.
+
+    The closed form of Wang, Hadfield, Jiang & Rieffel (PRA 97, 022304, 2018),
+    weighted as in Ozaeta, van Dam & McMahon (arXiv:2012.03421), in this
+    package's conventions: E = -C, phase exp(-i gamma E), mixer exp(-i beta X).
+    Up to a global phase the phase layer is exp(-i gamma sum (w_uv / 2) Z_u Z_v),
+    so <E> = sum over edges of (w_uv / 2) (<Z_u Z_v> - 1), where, with a_k =
+    gamma w_uk over the other neighbours k of u and b_k = gamma w_vk over those of v,
+
+        <Z_u Z_v> = sin(4 beta) / 2 * sin(gamma w_uv) * (prod cos a_k + prod cos b_k)
+                  - sin(2 beta)^2 / 2 * prod_{k not common} cos a_k * prod_{k not common} cos b_k
+                    * (prod_{k common} cos(a_k + b_k) - prod_{k common} cos(a_k - b_k)).
+    """
+    nbrs = {v: {} for v in range(wg.graph.n)}
+    for (u, v), w in wg.weights.items():
+        nbrs[u][v] = w
+        nbrs[v][u] = w
+    energy = 0.0
+    for (u, v), w in wg.weights.items():
+        a = {k: gamma * wk for k, wk in nbrs[u].items() if k != v}
+        b = {k: gamma * wk for k, wk in nbrs[v].items() if k != u}
+        common = a.keys() & b.keys()
+        mixed = math.sin(gamma * w) * (
+            math.prod(map(math.cos, a.values())) + math.prod(map(math.cos, b.values()))
+        )
+        outer = math.prod(math.cos(x) for k, x in a.items() if k not in common) * math.prod(
+            math.cos(x) for k, x in b.items() if k not in common
+        )
+        triangles = math.prod(math.cos(a[k] + b[k]) for k in common) - math.prod(
+            math.cos(a[k] - b[k]) for k in common
+        )
+        zz = math.sin(4 * beta) / 2 * mixed - math.sin(2 * beta) ** 2 / 2 * outer * triangles
+        energy += w / 2 * (zz - 1)
+    return energy
+
+
 def test_parameter_vector_validation():
     ParameterVector((0.1,), (0.2,))
     with pytest.raises(ValueError):
@@ -61,6 +118,15 @@ def test_parameter_vector_array_round_trip():
     assert ParameterVector.from_array(flat) == pv
     with pytest.raises(ValueError):
         ParameterVector.from_array(np.zeros(5))  # odd length has no gamma/beta split
+
+
+def test_from_array_gives_python_floats():
+    pv = ParameterVector.from_array(np.array([0.25, -1.5, 3.0, 7.0]))
+    assert pv == ParameterVector((0.25, -1.5), (3.0, 7.0))
+    assert all(type(x) is float for x in pv.gamma + pv.beta)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ParameterVector.from_array(np.array([0.1, bad]))
 
 
 def test_norm_preserved_on_random_probes():
@@ -129,6 +195,40 @@ def test_matches_dense_oracle():
         pv = ParameterVector(tuple(rng.uniform(-2, 2, p)), tuple(rng.uniform(-2, 2, p)))
         fast = objective(cost_diagonal(wg), pv)
         assert fast == pytest.approx(dense_objective(wg, pv), abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_evolve_equals_reference_bit_for_bit(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    for trial in range(6):
+        if n == 1:
+            wg = unit_weights(Graph(1, frozenset()))
+        elif trial % 2:
+            wg = random_weighted_graph(n, rng)
+        else:
+            wg = unit_weights(random_weighted_graph(n, rng).graph)
+        diag = cost_diagonal(wg)
+        angles = rng.uniform(-3 * np.pi, 3 * np.pi, 2 * p)
+        angles[rng.random(2 * p) < 0.25] = 0.0
+        # every (n, p) gets a zero, a negative angle and one beyond 2 pi
+        angles[trial % (2 * p)] = (0.0, -0.7, 2 * np.pi + 0.3)[trial % 3]
+        pv = ParameterVector.from_array(angles)
+        got, want = evolve(diag, pv), reference_evolve(diag, pv)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert objective(diag, pv) == expectation(want, diag)
+
+
+def test_p1_matches_closed_form():
+    rng = np.random.default_rng(2018)
+    for n in range(2, 9):
+        for _ in range(8):
+            wg = random_weighted_graph(n, rng)
+            gamma, beta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
+            value = objective(cost_diagonal(wg), ParameterVector((gamma,), (beta,)))
+            assert value == pytest.approx(closed_form_p1(wg, gamma, beta), abs=1e-12)
 
 
 def test_expectation_shape_mismatch():

@@ -217,6 +217,8 @@ def test_graph_set_timestamp_line(tmp_path):
         "# graph-set v1\n\n2 1\n0 1 -1.0\n",  # nonpositive weight
         "# graph-set v1\n\n3 2\n0 1 1.0\n",  # truncated record
         "# graph-set v1\n\n2 1\n0 x 1.0\n",  # unparseable
+        "# graph-set v1\n\n2 0\n",  # no edges
+        "# graph-set v1\n\n3 -2\n",  # negative edge count
     ],
 )
 def test_graph_set_malformed_inputs(tmp_path, body):
