@@ -72,6 +72,12 @@ def _parse_vertex_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a process count of at least 1, got {text!r}")
+    return int(text)
+
+
 def _timestamp(args) -> str | None:
     if args.no_timestamp:
         return None
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=os.cpu_count() or 1,
         help="parallel worker processes (default: core count)",
     )

@@ -22,46 +22,36 @@ Cost is O(p * n * 2^n) amplitude updates; no gate matrices are materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class ParameterVector:
-    """The 2p circuit angles in radians: gamma_1..gamma_p then beta_1..beta_p."""
+    """The 2p circuit angles in radians as one read-only float64 array:
+    gamma_1..gamma_p, then beta_1..beta_p."""
 
-    gamma: tuple[float, ...]
-    beta: tuple[float, ...]
+    __slots__ = ("_theta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
-        object.__setattr__(self, "beta", tuple(float(x) for x in self.beta))
-        if len(self.gamma) != len(self.beta):
-            raise ValueError(
-                f"gamma and beta must have equal length, got {len(self.gamma)} and {len(self.beta)}"
-            )
-        if len(self.gamma) < 1:
-            raise ValueError("at least one layer is required")
-        if not all(map(math.isfinite, self.gamma + self.beta)):
-            raise ValueError("all angles must be finite")
-
-    @property
-    def p(self) -> int:
-        return len(self.gamma)
-
-    def as_array(self) -> np.ndarray:
-        """Flat layout gamma_1..gamma_p, beta_1..beta_p."""
-        return np.array(self.gamma + self.beta, dtype=np.float64)
+    def __init__(self, theta):
+        theta = np.array(theta, dtype=np.float64)  # a copy, so the caller's array may change
+        if theta.ndim != 1 or theta.size % 2 != 0 or theta.size < 2:
+            raise ValueError(f"expected a flat vector of 2p angles, got shape {theta.shape}")
+        if not all(map(math.isfinite, theta.tolist())):
+            raise ValueError(f"all angles must be finite, got {theta}")
+        theta.flags.writeable = False
+        self._theta = theta
 
     @classmethod
     def from_array(cls, theta) -> "ParameterVector":
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.ndim != 1 or theta.size % 2 != 0 or theta.size < 2:
-            raise ValueError(f"expected a flat vector of 2p angles, got shape {theta.shape}")
-        p = theta.size // 2
-        angles = theta.tolist()
-        return cls(tuple(angles[:p]), tuple(angles[p:]))
+        return cls(theta)
+
+    @property
+    def p(self) -> int:
+        return self._theta.size // 2
+
+    def as_array(self) -> np.ndarray:
+        """The stored angles, gamma block then beta block (read-only)."""
+        return self._theta
 
 
 def _qubit_count(size: int) -> int:
@@ -85,7 +75,8 @@ def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
         shape = (size >> (q + 1), 2, 1 << q)
         v = psi.reshape(shape)
         butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
-    for gamma, beta in zip(params.gamma, params.beta):
+    angles = params.as_array().tolist()
+    for gamma, beta in zip(angles[: params.p], angles[params.p :]):
         np.multiply(-1j * gamma, diag, out=phase)
         np.exp(phase, out=phase)
         psi *= phase

@@ -55,9 +55,9 @@ def tqa_init(p: int, dt: float) -> ParameterVector:
         raise ValueError(f"p must be at least 1, got {p}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    gamma = tuple(dt * i / p for i in range(1, p + 1))
-    beta = tuple(dt * (1.0 - i / p) for i in range(1, p + 1))
-    return ParameterVector(gamma, beta)
+    gamma = [dt * i / p for i in range(1, p + 1)]
+    beta = [dt * (1.0 - i / p) for i in range(1, p + 1)]
+    return ParameterVector.from_array(gamma + beta)
 
 
 def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
@@ -86,7 +86,7 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
             break
 
     return OptResult(
-        best_params=tuple(float(v) for v in best_x),
+        best_params=tuple(best_x.tolist()),
         best_value=best_val,
         evals=evals,
         converged=evals < cfg.max_evals,
@@ -129,7 +129,7 @@ def optimize_graph(
         param_count=len(best_res.best_params),
         evals=best_res.evals,
         approx_ratio=best_ratio,
-        best_params=tuple(float(v) for v in theta.as_array()),
+        best_params=tuple(theta.as_array().tolist()),
     )
 
 

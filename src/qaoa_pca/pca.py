@@ -52,19 +52,23 @@ class ParameterMatrix:
         return self.rows.shape[1] // 2
 
 
-@dataclass(frozen=True)
 class CoefficientVector:
-    coeffs: tuple[float, ...]
+    """The k component coefficients of a reduced run as one read-only float64 array."""
 
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
-            raise ValueError("need at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = np.array(coeffs, dtype=np.float64)  # a copy, so the caller's array may change
+        if coeffs.ndim != 1 or coeffs.size < 1:
+            raise ValueError(f"need a flat vector of at least one coefficient, got shape {coeffs.shape}")
+        if not all(map(math.isfinite, coeffs.tolist())):
+            raise ValueError(f"coefficients must be finite, got {coeffs}")
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
 
     @property
     def k(self) -> int:
-        return len(self.coeffs)
+        return self.coeffs.size
 
 
 @dataclass(frozen=True)
@@ -126,11 +130,10 @@ def fit(X: ParameterMatrix) -> PCAModel:
 
 
 def expand(model: PCAModel, c: CoefficientVector) -> ParameterVector:
-    """theta = mean + sum_i c_i * component_i, split back into gamma/beta halves."""
+    """The angles theta = mean + sum_i c_i * component_i."""
     if c.k > model.n_components:
         raise ValueError(f"{c.k} coefficients but model holds {model.n_components} components")
-    theta = model.mean + np.asarray(c.coeffs) @ model.components[: c.k]
-    return ParameterVector.from_array(theta)
+    return ParameterVector.from_array(model.mean + c.coeffs @ model.components[: c.k])
 
 
 def project(model: PCAModel, theta: ParameterVector, k: int) -> CoefficientVector:
@@ -146,8 +149,7 @@ def project(model: PCAModel, theta: ParameterVector, k: int) -> CoefficientVecto
     flat = theta.as_array()
     if flat.shape != model.mean.shape:
         raise ValueError(f"parameter vector has 2p={flat.size}, model expects {model.mean.size}")
-    coeffs = model.components[:k] @ (flat - model.mean)
-    return CoefficientVector(tuple(float(v) for v in coeffs))
+    return CoefficientVector(model.components[:k] @ (flat - model.mean))
 
 
 def projection_ranges(model: PCAModel, k: int, training_X: ParameterMatrix) -> np.ndarray:
@@ -167,11 +169,10 @@ def sample_coefficients(
     if not (1 <= k <= model.n_components):
         raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
     if model.degenerate:
-        return CoefficientVector((0.0,) * k)
+        return CoefficientVector(np.zeros(k))
     ranges = projection_ranges(model, k, training_X)
     rng = np.random.default_rng(seed)
-    draw = rng.uniform(ranges[:, 0], ranges[:, 1])
-    return CoefficientVector(tuple(float(v) for v in draw))
+    return CoefficientVector(rng.uniform(ranges[:, 0], ranges[:, 1]))
 
 
 def save_model(path, model: PCAModel) -> None:
@@ -210,5 +211,5 @@ def load_model(path) -> PCAModel:
             eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
             degenerate=bool(payload["degenerate"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or of the wrong shape
         raise ModelFormatError(f"{path}: {exc}") from exc

@@ -171,7 +171,7 @@ def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
     )
 
     def angles(c):
-        return expand(model, CoefficientVector(tuple(float(v) for v in c)))
+        return expand(model, CoefficientVector(c))
 
     return optimize_graph(wg, gid, METHOD_PCA, starts, angles, opt)
 

@@ -70,7 +70,7 @@ def test_criterion_2_engine_identity_suite():
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, 9))
         wg = random_weighted_graph(n, rng)
-        pv = ParameterVector(tuple(rng.uniform(-2, 2, p)), tuple(rng.uniform(-2, 2, p)))
+        pv = ParameterVector.from_array(rng.uniform(-2, 2, 2 * p))
         sv = evolve(cost_diagonal(wg), pv)
         assert abs(np.vdot(sv, sv).real - 1.0) < 1e-10
 
@@ -78,7 +78,7 @@ def test_criterion_2_engine_identity_suite():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         wg = random_weighted_graph(n, rng)
-        val = objective(cost_diagonal(wg), ParameterVector((0.0,), (0.0,)))
+        val = objective(cost_diagonal(wg), ParameterVector.from_array([0.0, 0.0]))
         assert abs(val + wg.total_weight / 2) < 1e-9
 
     # dense-matrix oracle, built here from scratch
@@ -94,7 +94,8 @@ def test_criterion_2_engine_identity_suite():
                 op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
             mixer += op
         psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-        for gamma, beta in zip(pv.gamma, pv.beta):
+        angles = pv.as_array().tolist()
+        for gamma, beta in zip(angles[: pv.p], angles[pv.p :]):
             psi = np.exp(-1j * gamma * diag) * psi
             psi = expm(-1j * beta * mixer) @ psi
         return float(np.real(np.conj(psi) @ (diag * psi)))
@@ -103,7 +104,7 @@ def test_criterion_2_engine_identity_suite():
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, 4))
         wg = random_weighted_graph(n, rng)
-        pv = ParameterVector(tuple(rng.uniform(-2, 2, p)), tuple(rng.uniform(-2, 2, p)))
+        pv = ParameterVector.from_array(rng.uniform(-2, 2, 2 * p))
         assert abs(objective(cost_diagonal(wg), pv) - oracle(wg, pv)) < 1e-9
 
     announce(2, "norms within 1e-10, -W/2 identity within 1e-9, dense oracle within 1e-9")
@@ -119,7 +120,7 @@ def test_criterion_3_single_edge_exactness():
     best = np.inf
     for g in gammas:
         for b in betas:
-            best = min(best, objective(diag, ParameterVector((float(g),), (float(b),))))
+            best = min(best, objective(diag, ParameterVector.from_array([g, b])))
     grid_ratio = approximation_ratio(best, -1.0)
     assert grid_ratio >= 0.9999
 

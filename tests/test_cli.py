@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qaoa_pca
 from qaoa_pca.cli import main
@@ -282,6 +283,14 @@ def test_exit_codes_on_bad_usage(tmp_path, capsys):
                "--out", tmp_path / "m.csv") == 1
     assert run("--help") == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "four.graphs"
+    assert run("gen-graphs", "--n", "4", "--workers", workers, "--out", out) == 1
+    assert "--workers: expected a process count of at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_graph_file_fails_validation(tmp_path, capsys):

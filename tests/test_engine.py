@@ -26,6 +26,12 @@ def random_weighted_graph(n, rng):
     return assign_random_weights(Graph(n, frozenset(picked)), seed=int(rng.integers(1 << 30)))
 
 
+def layers(params):
+    """(gamma_i, beta_i) for each layer i, as Python floats."""
+    angles = params.as_array().tolist()
+    return zip(angles[: params.p], angles[params.p :])
+
+
 def dense_objective(wg, params):
     """Independent oracle: full 2^n x 2^n matrices, mixer exponentiated densely."""
     n = wg.graph.n
@@ -39,7 +45,7 @@ def dense_objective(wg, params):
             op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
         mixer += op
     psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    for gamma, beta in zip(params.gamma, params.beta):
+    for gamma, beta in layers(params):
         psi = np.exp(-1j * gamma * diag) * psi
         psi = expm(-1j * beta * mixer) @ psi
     return float(np.real(np.conj(psi) @ (diag * psi)))
@@ -51,7 +57,7 @@ def reference_evolve(diag, params):
     size = diag.size
     n = size.bit_length() - 1
     psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
-    for gamma, beta in zip(params.gamma, params.beta):
+    for gamma, beta in layers(params):
         psi *= np.exp(-1j * gamma * diag)
         c = np.cos(beta)
         s = 1j * np.sin(beta)
@@ -102,31 +108,38 @@ def closed_form_p1(wg, gamma, beta):
 
 
 def test_parameter_vector_validation():
-    ParameterVector((0.1,), (0.2,))
-    with pytest.raises(ValueError):
-        ParameterVector((), ())
-    with pytest.raises(ValueError):
-        ParameterVector((0.1, 0.2), (0.3,))
-    with pytest.raises(ValueError):
-        ParameterVector((float("inf"),), (0.0,))
+    assert ParameterVector.from_array([0.1, 0.2]).p == 1
+    for bad in ([], [0.1, 0.2, 0.3], [float("inf"), 0.0]):
+        with pytest.raises(ValueError):
+            ParameterVector.from_array(bad)
 
 
 def test_parameter_vector_array_round_trip():
-    pv = ParameterVector((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
+    pv = ParameterVector.from_array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    assert pv.p == 3
     flat = pv.as_array()
     assert flat.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    assert ParameterVector.from_array(flat) == pv
+    assert np.array_equal(ParameterVector.from_array(flat).as_array(), flat)
     with pytest.raises(ValueError):
         ParameterVector.from_array(np.zeros(5))  # odd length has no gamma/beta split
 
 
-def test_from_array_gives_python_floats():
-    pv = ParameterVector.from_array(np.array([0.25, -1.5, 3.0, 7.0]))
-    assert pv == ParameterVector((0.25, -1.5), (3.0, 7.0))
-    assert all(type(x) is float for x in pv.gamma + pv.beta)
+def test_from_array_copies_into_a_read_only_float64_array():
+    given = np.array([0.25, -1.5, 3.0, 7.0])
+    pv = ParameterVector.from_array(given)
+    given[0] = 9.0
+    stored = pv.as_array()
+    assert stored.dtype == np.float64 and not stored.flags.writeable
+    assert stored.tolist() == [0.25, -1.5, 3.0, 7.0]
+    with pytest.raises(ValueError):
+        stored[0] = 1.0
+    assert ParameterVector.from_array([1, 2]).as_array().dtype == np.float64
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             ParameterVector.from_array(np.array([0.1, bad]))
+    for shape in ((3,), (0,), (2, 2)):  # odd, empty, 2-d
+        with pytest.raises(ValueError, match="2p angles"):
+            ParameterVector.from_array(np.zeros(shape))
 
 
 def test_norm_preserved_on_random_probes():
@@ -135,7 +148,7 @@ def test_norm_preserved_on_random_probes():
         n = int(rng.integers(2, 9))
         p = int(rng.integers(1, 9))
         wg = random_weighted_graph(n, rng)
-        pv = ParameterVector(tuple(rng.uniform(-2, 2, p)), tuple(rng.uniform(-2, 2, p)))
+        pv = ParameterVector.from_array(rng.uniform(-2, 2, 2 * p))
         sv = evolve(cost_diagonal(wg), pv)
         assert abs(np.vdot(sv, sv).real - 1.0) < 1e-10
 
@@ -144,13 +157,13 @@ def test_zero_parameters_give_uniform_energy():
     rng = np.random.default_rng(1)
     for n in (2, 4, 6):
         wg = random_weighted_graph(n, rng)
-        val = objective(cost_diagonal(wg), ParameterVector((0.0,), (0.0,)))
+        val = objective(cost_diagonal(wg), ParameterVector.from_array([0.0, 0.0]))
         assert val == pytest.approx(-wg.total_weight / 2, abs=1e-12)
 
 
 def test_uniform_triangle_energy_ratio():
     wg = unit_weights(Graph(3, frozenset({(0, 1), (0, 2), (1, 2)})))
-    energy = objective(cost_diagonal(wg), ParameterVector((0.0,), (0.0,)))
+    energy = objective(cost_diagonal(wg), ParameterVector.from_array([0.0, 0.0]))
     cmin, _ = brute_force_cmin(wg)
     assert approximation_ratio(energy, cmin) == pytest.approx(0.75, abs=1e-12)
 
@@ -160,11 +173,11 @@ def test_mixer_inverse_returns_input():
     wg = random_weighted_graph(5, rng)
     diag = cost_diagonal(wg)
     beta = 0.813
-    forward = evolve(diag, ParameterVector((0.0,), (beta,)))
+    forward = evolve(diag, ParameterVector.from_array([0.0, beta]))
     # applying -beta undoes the mixer layer since gamma = 0 contributed nothing
     dim = forward.size
     start = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    backward = evolve(diag, ParameterVector((0.0, 0.0), (beta, -beta)))
+    backward = evolve(diag, ParameterVector.from_array([0.0, 0.0, beta, -beta]))
     assert np.allclose(backward, start, atol=1e-12)
 
 
@@ -172,8 +185,8 @@ def test_beta_period_pi():
     rng = np.random.default_rng(3)
     wg = random_weighted_graph(6, rng)
     diag = cost_diagonal(wg)
-    pv = ParameterVector((0.37, 1.21), (0.55, -0.4))
-    shifted = ParameterVector(pv.gamma, tuple(b + np.pi for b in pv.beta))
+    pv = ParameterVector.from_array([0.37, 1.21, 0.55, -0.4])
+    shifted = ParameterVector.from_array(pv.as_array() + [0.0, 0.0, np.pi, np.pi])
     assert objective(diag, pv) == pytest.approx(objective(diag, shifted), abs=1e-9)
 
 
@@ -181,8 +194,8 @@ def test_gamma_period_two_pi_unweighted():
     # integer cut spectrum makes the phase layer 2*pi periodic
     wg = unit_weights(Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})))
     diag = cost_diagonal(wg)
-    pv = ParameterVector((0.9,), (0.31,))
-    shifted = ParameterVector((0.9 + 2 * np.pi,), (0.31,))
+    pv = ParameterVector.from_array([0.9, 0.31])
+    shifted = ParameterVector.from_array([0.9 + 2 * np.pi, 0.31])
     assert objective(diag, pv) == pytest.approx(objective(diag, shifted), abs=1e-9)
 
 
@@ -192,7 +205,7 @@ def test_matches_dense_oracle():
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, 4))
         wg = random_weighted_graph(n, rng)
-        pv = ParameterVector(tuple(rng.uniform(-2, 2, p)), tuple(rng.uniform(-2, 2, p)))
+        pv = ParameterVector.from_array(rng.uniform(-2, 2, 2 * p))
         fast = objective(cost_diagonal(wg), pv)
         assert fast == pytest.approx(dense_objective(wg, pv), abs=1e-9)
 
@@ -227,7 +240,7 @@ def test_p1_matches_closed_form():
         for _ in range(8):
             wg = random_weighted_graph(n, rng)
             gamma, beta = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            value = objective(cost_diagonal(wg), ParameterVector((gamma,), (beta,)))
+            value = objective(cost_diagonal(wg), ParameterVector.from_array([gamma, beta]))
             assert value == pytest.approx(closed_form_p1(wg, gamma, beta), abs=1e-12)
 
 
@@ -246,7 +259,7 @@ def test_objective_speed_soft_bound():
     rng = np.random.default_rng(5)
     wg = random_weighted_graph(8, rng)
     diag = cost_diagonal(wg)
-    pv = ParameterVector(tuple(rng.uniform(0, 1, 8)), tuple(rng.uniform(0, 1, 8)))
+    pv = ParameterVector.from_array(rng.uniform(0, 1, 16))
     objective(diag, pv)  # warm up
     t0 = time.perf_counter()
     reps = 20

@@ -25,25 +25,18 @@ def test_config_validation():
 
 
 def test_tqa_init_examples():
-    pv = tqa_init(2, 0.5)
-    assert pv.gamma == (0.25, 0.5)
-    assert pv.beta == (0.25, 0.0)
-
-    pv = tqa_init(1, 0.9)
-    assert pv.gamma == (0.9,)
-    assert pv.beta == (0.0,)
-
-    pv = tqa_init(4, 0.1)
-    assert np.allclose(pv.gamma, (0.025, 0.05, 0.075, 0.1))
-    assert np.allclose(pv.beta, (0.075, 0.05, 0.025, 0.0))
+    assert tqa_init(2, 0.5).as_array().tolist() == [0.25, 0.5, 0.25, 0.0]
+    assert tqa_init(1, 0.9).as_array().tolist() == [0.9, 0.0]
+    theta = tqa_init(4, 0.1).as_array()
+    assert np.allclose(theta, (0.025, 0.05, 0.075, 0.1, 0.075, 0.05, 0.025, 0.0))
 
 
 def test_tqa_init_boundary_properties():
     for p in (1, 2, 3, 5, 8):
         for dt in (0.1, 0.3, 0.5, 0.7, 0.9):
-            pv = tqa_init(p, dt)
-            assert pv.gamma[0] == pytest.approx(dt / p)
-            assert pv.beta[-1] == 0.0
+            theta = tqa_init(p, dt).as_array()
+            assert theta[0] == pytest.approx(dt / p)
+            assert theta[-1] == 0.0
 
 
 def test_tqa_init_domain_errors():

@@ -33,11 +33,11 @@ def test_parameter_matrix_validation():
 
 
 def test_coefficient_vector_validation():
-    CoefficientVector((0.5, -1.0))
-    with pytest.raises(ValueError):
-        CoefficientVector(())
-    with pytest.raises(ValueError):
-        CoefficientVector((float("inf"),))
+    c = CoefficientVector((0.5, -1.0))
+    assert c.k == 2 and c.coeffs.dtype == np.float64 and not c.coeffs.flags.writeable
+    for bad in ((), (float("inf"),), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            CoefficientVector(bad)
 
 
 def test_fit_identical_rows_is_degenerate():
@@ -162,16 +162,16 @@ def test_sample_coefficients_inside_ranges_and_deterministic():
     ranges = projection_ranges(model, 3, X)
     a = sample_coefficients(model, 3, X, seed=77)
     b = sample_coefficients(model, 3, X, seed=77)
-    assert a == b
+    assert np.array_equal(a.coeffs, b.coeffs)
     for ci, (lo, hi) in zip(a.coeffs, ranges):
         assert lo <= ci <= hi
-    assert sample_coefficients(model, 3, X, seed=78) != a
+    assert not np.array_equal(sample_coefficients(model, 3, X, seed=78).coeffs, a.coeffs)
 
 
 def test_sample_coefficients_degenerate_is_zero():
     X = ParameterMatrix(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
     model = fit(X)
-    assert sample_coefficients(model, 2, X, seed=5).coeffs == (0.0, 0.0)
+    assert sample_coefficients(model, 2, X, seed=5).coeffs.tolist() == [0.0, 0.0]
 
 
 def test_model_round_trip(tmp_path):
@@ -212,4 +212,17 @@ def test_model_file_bad_tag_and_garbage(tmp_path):
         load_model(path)
     path.write_text("{truncated")
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field, value", [("p", [1]), ("components", 3)])
+def test_model_file_field_of_wrong_type(tmp_path, field, value):
+    import json
+
+    path = tmp_path / "model.pca"
+    save_model(path, fit(random_matrix(10, 1, seed=15)))
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="model.pca"):
         load_model(path)

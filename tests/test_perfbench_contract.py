@@ -10,8 +10,16 @@ import dataclasses
 import importlib
 from pathlib import Path
 
-from qaoa_pca.optimizer import OptimizerConfig
-from qaoa_pca.pipeline import Checkpoint, EvalConfig, TrainingConfig, build_graph_set, run_training
+import numpy as np
+import pytest
+
+from qaoa_pca import optimizer
+from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, expectation
+from qaoa_pca.graphs import graph_id
+from qaoa_pca.maxcut import cost_diagonal
+from qaoa_pca.optimizer import OptimizerConfig, train_graph
+from qaoa_pca.pca import ParameterMatrix, fit
+from qaoa_pca.pipeline import Checkpoint, EvalConfig, TrainingConfig, build_graph_set, evaluate_pca, run_training
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -61,3 +69,35 @@ def test_wrapped_checkpoint_add_sees_every_finished_graph(tmp_path):
     finally:
         Checkpoint.add = original
     assert seen == ids
+
+
+def test_spot_check_evolves_a_record_s_angles():
+    # checks.spot_check rebuilds a record's angles from its best_params tuple like this
+    wg = build_graph_set(4, 4, weighted=True, seed=2024)[3]
+    rec = train_graph(wg, graph_id(wg.graph), 2, OptimizerConfig(max_evals=40))
+    diag = cost_diagonal(wg)
+    sv = evolve(diag, ParameterVector.from_array(np.asarray(rec.best_params, dtype=float)))
+    assert approximation_ratio(expectation(sv, diag), float(diag.min())) == rec.approx_ratio
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_objective_observer_reads_the_layer_count(monkeypatch, reduced):
+    # spans.Tracer counts amplitude updates from params.p, the second argument of every objective call
+    seen = []
+    original = optimizer.objective
+
+    def objective(diag, params):
+        seen.append(params.p)
+        return original(diag, params)
+
+    monkeypatch.setattr(optimizer, "objective", objective)
+    graphs = build_graph_set(4, 4, weighted=False, seed=2024)[:2]
+    cfg = OptimizerConfig(max_evals=15)
+    if reduced:
+        X = ParameterMatrix(np.random.default_rng(0).uniform(-1, 1, (6, 4)))
+        ecfg = EvalConfig(p=2, k_components=2, n_eval=4, count=2, restarts=2, seed=2024, model_ref="m.pca")
+        records = evaluate_pca(ecfg, fit(X), graphs, X, cfg)
+    else:
+        records = [train_graph(wg, graph_id(wg.graph), 2, cfg) for wg in graphs]
+    assert len(seen) >= sum(rec.evals for rec in records) > 0
+    assert set(seen) == {2}
