@@ -22,8 +22,23 @@ the caller sees every value and keeps its own best. The trust-region LP
 reduces to one Givens QR of g and one step to the trust-region boundary.
 Every reduction and small matrix product below is the numpy call that PRIMA
 makes, on an array of the same shape and memory layout, because BLAS kernels
-may fuse multiply-adds and a sum's order depends on the layout; elementwise
-arithmetic is written freely.
+may fuse multiply-adds and a sum's order depends on the layout: the sums of
+squares (`np.add.reduce`), the products with `simi` (`@`), the dot products
+(`dot`), `np.linalg.inv`, `np.linalg.norm`, `np.hypot`, the 2-vector norm in
+`_planerot`, and PRIMA's builtin `sum` over numpy scalars. Elementwise
+arithmetic, comparisons, `max` of a list and `argmax`'s first-maximum rule
+are written freely, in Python floats where that is cheaper at this size,
+keeping numpy's NaN rules.
+
+The search also skips work whose result it already has. PRIMA checks
+after every update that simi still inverts sim (`erri_ok`); that check is a
+function of sim and simi alone, and a second check of the same pair returns
+the same simi and verdict, while a failed check ends the run. So the check
+runs after every change to sim or simi and is skipped only when both are
+unchanged since it last passed them. simi @ d is formed once per trial step
+and shared by the choice of the vertex to drop and the update of simi, and
+the squared column lengths of sim, formed once per iteration, serve both the
+geometry test and that choice.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 REALMIN = float(np.finfo(float).tiny)
 REALMAX = float(np.finfo(float).max)
+SQRT_REALMIN, SQRT_REALMAX_2 = math.sqrt(REALMIN), math.sqrt(REALMAX / 2.1)  # planerot's safe range
 FUNCMAX = 1e30  # f is clipped to [-REALMAX, FUNCMAX], and NaN becomes FUNCMAX
 ETA1, ETA2 = 0.1, 0.7  # ratio thresholds for shrinking and for expanding delta
 GAMMA1, GAMMA2 = 0.5, 2.0  # delta shrink and expansion factors
@@ -61,21 +77,21 @@ def cobyla(x0, maxfun: int):
     eye = np.eye(n)
 
     # SciPy's wrapper evaluates f at x0 before PRIMA starts, and calls f again only at a new point
-    memo = [x, (yield x)]
-    f = _moderatef(memo[1])
-
-    def call(x):
-        if not (x == memo[0]).all():
-            memo[0] = x
-            memo[1] = yield x
-        return memo[1]
+    last = [x.tolist(), (yield x)]  # the last point evaluated, as a list, and f there
+    f = _moderatef(last[1])
 
     def evaluate(x):
-        if not np.isfinite(x).all():
-            if np.isnan(x).any():
+        """f at x as PRIMA sees it; x is yielded unless it repeats the last point evaluated."""
+        xs = x.tolist()
+        if not all(map(math.isfinite, xs)):
+            if any(map(math.isnan, xs)):
                 return np.add.reduce(x)
             x = np.clip(x, -REALMAX, REALMAX)
-        return _moderatef((yield from call(x)))
+            xs = x.tolist()
+        if xs != last[0]:
+            last[0] = xs
+            last[1] = yield x
+        return _moderatef(last[1])
 
     # initial simplex: x0 and x0 + RHOBEG e_j, the best point so far as pole
     sim = np.eye(n, n + 1) * RHOBEG
@@ -99,22 +115,27 @@ def cobyla(x0, maxfun: int):
     simi = np.linalg.inv(sim[:, :n])
     nf = n + 1
 
+    checked = False  # erri_ok has passed sim and simi as they are now
+
     def erri_ok(sim, simi):
         """PRIMA's check that simi inverts sim[:, :n], retrying with a fresh inverse: (simi, ok)."""
+        nonlocal checked
         erri = abs(simi @ sim[:, :n] - eye).max()
-        if erri > 0.1 or np.isnan(erri):
+        if not erri <= 0.1:  # above 0.1, or NaN
             simi_test = np.linalg.inv(sim[:, :n])
             erri_test = abs(simi_test @ sim[:, :n] - eye).max()
             if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
                 simi, erri = simi_test, erri_test
-        return simi, erri <= 1
+        checked = erri <= 1
+        return simi, checked
 
     def updatepole(sim, simi):
         """Make the best vertex the pole (PRIMA's findpole and updatepole): (simi, ok)."""
         phi = fval.tolist()
         phimin = min(phi)
         if not phimin < phi[n]:
-            return erri_ok(sim, simi)
+            # the check gives the same answer on the same pair, and a failed one ends the run
+            return (simi, True) if checked else erri_ok(sim, simi)
         jopt = next(i for i, v in enumerate(phi) if not v > phimin)
         sim[:, n] += sim[:, jopt]
         sim_jopt = sim[:, jopt].copy()
@@ -126,44 +147,40 @@ def cobyla(x0, maxfun: int):
             fval[jopt], fval[n] = fval[n], fval[jopt]
         return simi, ok
 
-    def updatexfc(jdrop, d, f, sim, simi):
-        """Replace vertex jdrop by the point sim[:, n] + d with value f, then re-pole: (simi, ok)."""
+    def updatexfc(jdrop, d, simid, f, sim, simi):
+        """Replace vertex jdrop by the point sim[:, n] + d with value f, then re-pole: (simi, ok).
+
+        simid is simi @ d.
+        """
         if jdrop is None:
             return simi, True
         if jdrop < n:
             sim[:, jdrop] = d
-            simi_jdrop = simi[jdrop, :] / np.dot(simi[jdrop, :], d)
-            simi -= np.outer(simi @ d, simi_jdrop)
+            simi_jdrop = simi[jdrop, :] / simi[jdrop, :].dot(d)
+            simi -= simid[:, None] * simi_jdrop  # np.outer's products
             simi[jdrop, :] = simi_jdrop
         else:
             sim[:, n] += d
             sim[:, :n] -= d[:, None]
-            simid = simi @ d
             sum_simi = np.add.reduce(simi, axis=0)
-            simi += np.outer(simid, sum_simi / (1 - sum(simid)))  # PRIMA's builtin sum, left to right
+            simi += simid[:, None] * (sum_simi / (1 - sum(simid)))  # PRIMA's builtin sum, left to right
         simi, ok = erri_ok(sim, simi)
         if not ok:
             return simi, False
         fval[jdrop] = f
         return updatepole(sim, simi)
 
-    def sqdist(x):
-        """Squared distances from x to the pole and to each vertex."""
-        distsq = np.empty(n + 1)
-        step = x - sim[:, n]
-        distsq[n] = np.add.reduce(step * step)
-        diff = x.reshape(n, 1) - (sim[:, n].reshape(n, 1) + sim[:, :n])
-        distsq[:n] = np.add.reduce(diff * diff, axis=0)
-        return distsq
-
-    def try_point(d):
-        """f at sim[:, n] + d, or the value of a vertex within 1e-4 RHOEND of it: (x, f, evaluated)."""
-        x = sim[:, n] + d
-        distsq = sqdist(x)
-        j = np.argmin(distsq)
-        if distsq[j] <= (1e-4 * RHOEND) * (1e-4 * RHOEND):
-            return x, fval[j], False
-        return x, (yield from evaluate(x)), True
+    def vertex_value(x):
+        """f at the vertex or pole within 1e-4 RHOEND of x, or None if there is none."""
+        pole = sim[:, n]
+        step = x - pole
+        diff = x[:, None] - (pole[:, None] + sim[:, :n])
+        distsq = np.add.reduce(diff * diff, axis=0).tolist() + [np.add.reduce(step * step)]
+        dmin = min(distsq)
+        # np.argmin would stop at a NaN, which is never close enough
+        if dmin <= (1e-4 * RHOEND) * (1e-4 * RHOEND) and not any(map(math.isnan, distsq)):
+            return fval[distsq.index(dmin)]
+        return None
 
     rho = delta = RHOBEG
     d = None
@@ -175,29 +192,33 @@ def cobyla(x0, maxfun: int):
         simi, ok = updatepole(sim, simi)
         if not ok:
             return
-        colsq = np.add.reduce(sim[:, :n] * sim[:, :n], axis=0)
-        adequate_geo = (colsq <= 4 * (delta * delta)).all()
+        colsq = np.add.reduce(sim[:, :n] * sim[:, :n], axis=0).tolist()
+        adequate_geo = all(v <= 4 * (delta * delta) for v in colsq)
         g = (fval[:n] - fval[n]) @ simi
         d = _trstep(g, delta)
         dnorm = min(delta, math.sqrt(d.dot(d)))
         shortd = dnorm <= 0.1 * rho
         # PRIMA's merit adds cpen times the constraint violation, here EPS * 0.0 = +0.0
-        prerem = -np.dot(d, g) + 0.0
+        prerem = -d.dot(g) + 0.0
         trfail = not (prerem > 1.0e-6 * EPS * rho)
         if shortd or trfail:
             delta *= 0.1
             if delta <= GAMMA3 * rho:
                 delta = rho
         else:
-            x, f, evaluated = yield from try_point(d)
-            nf += evaluated
+            x = sim[:, n] + d
+            f = vertex_value(x)
+            if f is None:
+                f = yield from evaluate(x)
+                nf += 1
             actrem = (fval[n] + 0.0) - (f + 0.0)
             ratio = _redrat(actrem, prerem)
             delta = _trrad(delta, dnorm, ratio)
             if delta <= GAMMA3 * rho:
                 delta = rho
-            jdrop_tr = _setdrop_tr(actrem > 0, d, delta, rho, sim, simi)
-            simi, ok = updatexfc(jdrop_tr, d, f, sim, simi)
+            simid = simi @ d
+            jdrop_tr = _setdrop_tr(actrem > 0, d, simid, delta, rho, sim, colsq)
+            simi, ok = updatexfc(jdrop_tr, d, simid, f, sim, simi)
             if not ok or _stop(nf, maxfun, f, x):
                 return
         if not (shortd or trfail or ratio <= 0 or jdrop_tr is None):
@@ -207,9 +228,12 @@ def cobyla(x0, maxfun: int):
             if not (colsq <= 4 * (delta * delta)).all():
                 jdrop_geo = np.argmax(colsq, axis=0)
                 d = _geostep(simi[jdrop_geo, :], delta / 2, (fval[:n] - fval[n]) @ simi)
-                x, f, evaluated = yield from try_point(d)
-                nf += evaluated
-                simi, ok = updatexfc(jdrop_geo, d, f, sim, simi)
+                x = sim[:, n] + d
+                f = vertex_value(x)
+                if f is None:
+                    f = yield from evaluate(x)
+                    nf += 1
+                simi, ok = updatexfc(jdrop_geo, d, simi @ d, f, sim, simi)
                 if not ok or _stop(nf, maxfun, f, x):
                     return
         elif max(delta, dnorm) <= rho:
@@ -236,7 +260,7 @@ def _moderatef(f):
 
 def _stop(nf, maxfun, f, x):
     """PRIMA's checkbreak with no constraints: out of evaluations, or a non-finite x or f."""
-    return nf >= maxfun or not np.isfinite(x).all() or not math.isfinite(f)
+    return nf >= maxfun or not math.isfinite(f) or not all(map(math.isfinite, x.tolist()))
 
 
 def _isminor(x, ref):
@@ -251,15 +275,16 @@ def _planerot(x0, x1):
 
     x0 and x1 are finite and x1 is not 0.
     """
-    if abs(x1) <= EPS * abs(x0):
+    a0, a1 = abs(x0), abs(x1)
+    if a1 <= EPS * a0:
         return math.copysign(1.0, x0), 0.0
-    if abs(x0) <= EPS * abs(x1):
+    if a0 <= EPS * a1:
         return 0.0, math.copysign(1.0, x1)
-    if math.sqrt(REALMIN) < min(abs(x0), abs(x1)) and max(abs(x0), abs(x1)) < math.sqrt(REALMAX / 2.1):
+    if SQRT_REALMIN < min(a0, a1) and max(a0, a1) < SQRT_REALMAX_2:
         x = np.array((x0, x1))
         r = math.sqrt(x.dot(x))  # np.linalg.norm's BLAS dot, which may fuse
         return x0 / r, x1 / r
-    if abs(x0) > abs(x1):
+    if a0 > a1:
         t = x1 / x0
         u = math.copysign(max(1, abs(t), math.sqrt(1 + t * t)), x0)
         return 1 / u, t / u
@@ -291,24 +316,29 @@ def _trstep(g, delta):
     z0 = [0.0] * (n - 1) + [1.0]
     for k in range(n - 2, -1, -1):
         if abs(cq[k + 1]) > 0:
+            # z0 is 0 above row k + 1, so row k becomes cos and each row below is scaled by sin
             cos, sin = _planerot(cq[k], cq[k + 1])
-            z0 = [(1.0 if i == k else 0.0) * cos + v * sin for i, v in enumerate(z0)]
+            z0[k] = cos
+            for i in range(k + 1, n):
+                z0[i] *= sin
             cq[k] = float(np.hypot(cq[k], cq[k + 1]))
         else:
-            z0 = [1.0 if i == k else 0.0 for i in range(n)]
-    # PRIMA's BLAS products may give a zero of z0 either sign; + 0.0 below makes every zero of d +0
-    z0 = np.array(z0)
+            z0 = [0.0] * n
+            z0[k] = 1.0
+    # these products and PRIMA's BLAS ones may give a zero of z0 either sign; the zero drops out
+    # of ss, and + 0.0 below makes every zero of d +0
     zdota = cq[0]
     if not (abs(zdota) > EPS**2 and not _isminor(zdota, a[0])):
         return zero
     # the step from 0 along sdirn to the boundary ||d|| = delta; sdirn . 0 is +-0, which drops out
-    sdirn = -1 / zdota * z0
+    mult = -1 / zdota
+    sdirn = np.array([mult * v for v in z0])
     dd = delta * delta
     ss = np.dot(sdirn, sdirn)
     if dd <= 0 or ss <= EPS * delta * delta:
         return zero
-    step = np.sqrt(ss * dd) / ss
-    if step <= 0 or not np.isfinite(step):
+    step = math.sqrt(ss * dd) / ss  # one IEEE square root, as np.sqrt takes it
+    if step <= 0 or not math.isfinite(step):
         return zero
     d = step * sdirn + 0.0
     # trstlp keeps d only if d and the multiplier of c are finite; far from overflow both are
@@ -351,27 +381,29 @@ def _redrho(rho):
     return math.sqrt(rho_ratio) * RHOEND
 
 
-def _setdrop_tr(ximproved, d, delta, rho, sim, simi):
-    """The vertex a trust-region point replaces, or None to keep the simplex."""
+def _setdrop_tr(ximproved, d, simid, delta, rho, sim, colsq):
+    """The vertex a trust-region point replaces, or None to keep the simplex.
+
+    simid is simi @ d, and colsq the squared lengths of the columns of sim[:, :n].
+    """
     n = d.size
-    distsq = np.zeros(n + 1)
     if ximproved:
         diff = sim[:, :n] - d[:, None]
-        distsq[:n] = np.add.reduce(diff * diff, axis=0)
-        distsq[n] = np.add.reduce(d * d)
+        distsq = np.add.reduce(diff * diff, axis=0).tolist() + [np.add.reduce(d * d)]
     else:
-        distsq[:n] = np.add.reduce(sim[:, :n] * sim[:, :n], axis=0)
+        distsq = colsq + [0.0]
     scale = max(rho, delta / 10)
-    simid = simi @ d
-    score = np.empty(n + 1)
-    score[:n] = abs(simid)
-    score[n] = abs(1 - np.add.reduce(simid))
-    score *= np.maximum(1, distsq / (scale * scale))
+    scalesq = scale * scale
+    score = [abs(v) for v in simid.tolist()] + [abs(1 - np.add.reduce(simid))]
+    for j, dsq in enumerate(distsq):
+        w = dsq / scalesq
+        if not w <= 1:  # np.maximum(1, w): w itself when it is NaN
+            score[j] *= w
     if not ximproved:
         score[n] = -1
-    score[np.isnan(score)] = -1
-    if (score > 0).any():
-        return int(np.argmax(score))
+    score = [-1 if math.isnan(v) else v for v in score]
+    if any(v > 0 for v in score):
+        return score.index(max(score))  # np.argmax: the first maximum
     if ximproved:
         return int(np.argmax(distsq))
     return None

@@ -13,8 +13,15 @@ partner in its place. So one qubit's butterfly is three calls over the whole
 state: a = c * v, b = s * swapped, v = a - b. Every amplitude gets the same two
 complex products and the same subtraction, in the same operand order, as a
 per-half update (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) would give it, so
-the statevector is the same bit for bit. The views and scratch buffers are
-built once per `evolve` call, which makes the cost per layer 5 + 3n numpy calls.
+the statevector is the same bit for bit. A layer costs 5 + 3n numpy calls.
+
+The state, phase and scratch buffers and the per-qubit views are built once
+per state size and kept in a module dict keyed by 2^n (at most
+`MAX_BUFFER_SIZES` sizes, some 32 KB up to 2^8 amplitudes; the oldest size
+goes first), so an evaluation allocates nothing per layer or per qubit.
+`objective` evaluates in those buffers; `evolve` returns a copy of the
+final state, so the caller owns what it gets. Because the buffers are
+shared, the module is not thread-safe: evaluate from one thread per process.
 
 Cost is O(p * n * 2^n) amplitude updates; no gate matrices are materialized.
 """
@@ -61,20 +68,34 @@ def _qubit_count(size: int) -> int:
     return n
 
 
-def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
-    """Final statevector of the p-layer circuit for the given energy diagonal."""
-    diag = np.asarray(diag, dtype=np.float64)
-    n = _qubit_count(diag.size)
-    size = diag.size
-    psi = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
-    phase = np.empty(size, dtype=np.complex128)
-    a = np.empty(size, dtype=np.complex128)
-    b = np.empty(size, dtype=np.complex128)
-    butterflies = []
-    for q in range(n):
-        shape = (size >> (q + 1), 2, 1 << q)
-        v = psi.reshape(shape)
-        butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
+MAX_BUFFER_SIZES = 8
+
+_buffers: dict[int, tuple] = {}  # 2^n -> (initial amplitude, psi, phase, [(view, swapped, a, b)] per qubit)
+
+
+def _buffers_for(size: int) -> tuple:
+    """The buffers and views for a state of `size` amplitudes, built on first use."""
+    bufs = _buffers.get(size)
+    if bufs is None:
+        n = _qubit_count(size)
+        if len(_buffers) >= MAX_BUFFER_SIZES:
+            del _buffers[next(iter(_buffers))]
+        psi = np.empty(size, dtype=np.complex128)
+        a = np.empty(size, dtype=np.complex128)
+        b = np.empty(size, dtype=np.complex128)
+        butterflies = []
+        for q in range(n):
+            shape = (size >> (q + 1), 2, 1 << q)
+            v = psi.reshape(shape)
+            butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
+        bufs = _buffers[size] = (1.0 / np.sqrt(size), psi, np.empty(size, dtype=np.complex128), butterflies)
+    return bufs
+
+
+def _evolve_in_place(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
+    """The final statevector in the shared buffer of diag's size, valid until the next call."""
+    amp0, psi, phase, butterflies = _buffers_for(diag.size)
+    psi.fill(amp0)
     angles = params.as_array().tolist()
     for gamma, beta in zip(angles[: params.p], angles[params.p :]):
         np.multiply(-1j * gamma, diag, out=phase)
@@ -87,6 +108,11 @@ def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
             np.multiply(s, swapped, out=bv)
             np.subtract(av, bv, out=v)
     return psi
+
+
+def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
+    """Final statevector of the p-layer circuit for the given energy diagonal (a new array)."""
+    return _evolve_in_place(np.asarray(diag, dtype=np.float64), params).copy()
 
 
 def expectation(sv: np.ndarray, diag: np.ndarray) -> float:
@@ -108,4 +134,5 @@ def approximation_ratio(energy: float, cmin: float) -> float:
 
 def objective(diag: np.ndarray, params: ParameterVector) -> float:
     """The scalar the optimizer minimizes: expectation of the evolved statevector."""
-    return expectation(evolve(diag, params), diag)
+    diag = np.asarray(diag, dtype=np.float64)
+    return expectation(_evolve_in_place(diag, params), diag)

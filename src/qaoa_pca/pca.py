@@ -201,15 +201,20 @@ def load_model(path) -> PCAModel:
     for name in ("p", "degenerate", "mean", "eigenvalues", "components"):
         if name not in payload:
             raise ModelFormatError(f"{path}: missing field {name!r}")
+    p, degenerate = payload["p"], payload["degenerate"]
+    if type(p) is not int:  # not a float to truncate, nor a bool
+        raise ModelFormatError(f"{path}: field 'p' must be a JSON integer, got {p!r}")
+    if type(degenerate) is not bool:
+        raise ModelFormatError(f"{path}: field 'degenerate' must be a JSON boolean, got {degenerate!r}")
     try:
         return PCAModel(
-            p=int(payload["p"]),
+            p=p,
             mean=np.array(payload["mean"], dtype=np.float64),
             components=np.array(payload["components"], dtype=np.float64).reshape(
                 len(payload["components"]), -1
             ),
             eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
-            degenerate=bool(payload["degenerate"]),
+            degenerate=degenerate,
         )
     except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or of the wrong shape
         raise ModelFormatError(f"{path}: {exc}") from exc

@@ -101,8 +101,9 @@ class Checkpoint:
     """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
     `keys` maps each graph id to the key its record must carry to be reused.
-    Lines under any other key are preserved and ignored; a truncated final
-    line (cut-off run) is skipped on load, and the first `add` ends it with a
+    Lines under any other key, and lines that are not a JSON object with a
+    string graph id, are preserved and ignored; a truncated final line
+    (cut-off run) is skipped on load, and the first `add` ends it with a
     newline so the new record starts a line of its own.
     """
 
@@ -121,7 +122,9 @@ class Checkpoint:
                 obj = json.loads(line)
             except json.JSONDecodeError:  # blank or torn line
                 continue
-            key = keys.get(obj.get("graph_id"))
+            if not isinstance(obj, dict) or not isinstance(obj.get("graph_id"), str):
+                continue  # valid JSON, but not a record line
+            key = keys.get(obj["graph_id"])
             if key is None or obj.get("config") != key:
                 continue
             rec = record_from_dict(obj)

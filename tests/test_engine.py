@@ -268,3 +268,50 @@ def test_objective_speed_soft_bound():
     per_call = (time.perf_counter() - t0) / reps
     if per_call > 0.010:
         warnings.warn(f"p=8, n=8 objective took {per_call * 1e3:.1f} ms per call (soft 10 ms bound)")
+
+
+def test_writing_into_evolve_result_does_not_change_the_next_call():
+    # evolve hands out a copy of the shared state buffer, never the buffer itself
+    rng = np.random.default_rng(77)
+    diag = cost_diagonal(random_weighted_graph(5, rng))
+    pv = ParameterVector.from_array(rng.uniform(-np.pi, np.pi, 4))
+    first = evolve(diag, pv)
+    kept = first.copy()
+    first[:] = 123.0 - 4.0j
+    again = evolve(diag, pv)
+    assert again is not first
+    assert np.array_equal(again, kept)
+    other = evolve(diag, ParameterVector.from_array(rng.uniform(-np.pi, np.pi, 4)))
+    assert np.array_equal(again, kept) and not np.array_equal(other, kept)
+    assert objective(diag, pv) == expectation(kept, diag)
+
+
+def test_interleaved_sizes_and_depths_equal_reference_bit_for_bit():
+    # calls that switch state size and depth at random reuse the per-size buffers; two sizes
+    # beyond 8 qubits make the buffer dict drop its oldest entries and rebuild them
+    rng = np.random.default_rng(2026)
+    cases = []
+    for n in range(3, 9):
+        for p in (1, 2, 4, 8):
+            wg = random_weighted_graph(n, rng) if p % 2 else unit_weights(random_weighted_graph(n, rng).graph)
+            cases.append((cost_diagonal(wg), ParameterVector.from_array(rng.uniform(-3 * np.pi, 3 * np.pi, 2 * p))))
+    for n in (9, 10):
+        cases.append((rng.uniform(-5.0, 0.0, 1 << n), ParameterVector.from_array(rng.uniform(-np.pi, np.pi, 4))))
+    want = [reference_evolve(diag, pv) for diag, pv in cases]
+    for _ in range(3):
+        for i in rng.permutation(len(cases)):
+            diag, pv = cases[i]
+            got = evolve(diag, pv)
+            assert np.array_equal(got, want[i])
+            assert np.array_equal(np.signbit(got.real), np.signbit(want[i].real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want[i].imag))
+            assert objective(diag, pv) == expectation(want[i], diag)
+
+
+def test_objective_is_expectation_of_evolve_exactly():
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for p in (1, 2, 4, 8):
+            diag = cost_diagonal(random_weighted_graph(n, rng)) if n > 1 else np.array([0.0, -1.0])
+            pv = ParameterVector.from_array(rng.uniform(-2 * np.pi, 2 * np.pi, 2 * p))
+            assert objective(diag, pv) == expectation(evolve(diag, pv), diag)

@@ -226,3 +226,19 @@ def test_model_file_field_of_wrong_type(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match="model.pca"):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("p", 1.9), ("p", True), ("degenerate", "false"), ("degenerate", 0)]
+)
+def test_model_file_fields_are_not_coerced(tmp_path, field, value):
+    # "p": 1.9 would truncate to 1 and "degenerate": "false" would read as True
+    import json
+
+    path = tmp_path / "model.pca"
+    save_model(path, fit(random_matrix(10, 1, seed=15)))
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=f"model.pca: field '{field}'"):
+        load_model(path)

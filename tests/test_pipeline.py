@@ -168,6 +168,21 @@ def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
     assert Checkpoint(path, {"n04k000000000007": "cfg-b"}).done == {}
 
 
+def test_checkpoint_skips_json_lines_that_are_not_records(tmp_path):
+    # valid JSON that is not an object, or names no string graph id, is skipped like a torn line
+    path = tmp_path / "odd.ckpt"
+    keys = {"n04k000000000007": "cfg-a"}
+    rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
+    ck = Checkpoint(path, keys)
+    ck.add(rec)
+    ck.close()
+    good = path.read_text()
+    path.write_text('123\n[1, 2]\n"text"\nnull\n{"config": "cfg-a", "graph_id": [1]}\n' + good)
+    assert Checkpoint(path, keys).done == {rec.graph_id: rec}
+    path.write_text("123\n")
+    assert Checkpoint(path, keys).done == {}
+
+
 def test_checkpoint_torn_tail_does_not_swallow_next_record(tmp_path):
     # a run cut off mid-line leaves no final newline; the next record must start its own line
     ckpt = tmp_path / "train.ckpt"
