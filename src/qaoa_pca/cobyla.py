@@ -35,7 +35,8 @@ after every update that simi still inverts sim (`erri_ok`); that check is a
 function of sim and simi alone, and a second check of the same pair returns
 the same simi and verdict, while a failed check ends the run. So the check
 runs after every change to sim or simi and is skipped only when both are
-unchanged since it last passed them. simi @ d is formed once per trial step
+unchanged since it last passed them (tests/test_cobyla_paths.py compares the
+run with one that checks every time). simi @ d is formed once per trial step
 and shared by the choice of the vertex to drop and the update of simi, and
 the squared column lengths of sim, formed once per iteration, serve both the
 geometry test and that choice.
@@ -115,18 +116,11 @@ def cobyla(x0, maxfun: int):
     simi = np.linalg.inv(sim[:, :n])
     nf = n + 1
 
-    checked = False  # erri_ok has passed sim and simi as they are now
+    checked = False  # _erri_ok has passed sim and simi as they are now
 
     def erri_ok(sim, simi):
-        """PRIMA's check that simi inverts sim[:, :n], retrying with a fresh inverse: (simi, ok)."""
         nonlocal checked
-        erri = abs(simi @ sim[:, :n] - eye).max()
-        if not erri <= 0.1:  # above 0.1, or NaN
-            simi_test = np.linalg.inv(sim[:, :n])
-            erri_test = abs(simi_test @ sim[:, :n] - eye).max()
-            if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
-                simi, erri = simi_test, erri_test
-        checked = erri <= 1
+        simi, checked = _erri_ok(sim, simi, eye)
         return simi, checked
 
     def updatepole(sim, simi):
@@ -170,18 +164,6 @@ def cobyla(x0, maxfun: int):
         fval[jdrop] = f
         return updatepole(sim, simi)
 
-    def vertex_value(x):
-        """f at the vertex or pole within 1e-4 RHOEND of x, or None if there is none."""
-        pole = sim[:, n]
-        step = x - pole
-        diff = x[:, None] - (pole[:, None] + sim[:, :n])
-        distsq = np.add.reduce(diff * diff, axis=0).tolist() + [np.add.reduce(step * step)]
-        dmin = min(distsq)
-        # np.argmin would stop at a NaN, which is never close enough
-        if dmin <= (1e-4 * RHOEND) * (1e-4 * RHOEND) and not any(map(math.isnan, distsq)):
-            return fval[distsq.index(dmin)]
-        return None
-
     rho = delta = RHOBEG
     d = None
     shortd = False
@@ -207,7 +189,7 @@ def cobyla(x0, maxfun: int):
                 delta = rho
         else:
             x = sim[:, n] + d
-            f = vertex_value(x)
+            f = _vertex_value(x, sim, fval)
             if f is None:
                 f = yield from evaluate(x)
                 nf += 1
@@ -229,7 +211,7 @@ def cobyla(x0, maxfun: int):
                 jdrop_geo = np.argmax(colsq, axis=0)
                 d = _geostep(simi[jdrop_geo, :], delta / 2, (fval[:n] - fval[n]) @ simi)
                 x = sim[:, n] + d
-                f = vertex_value(x)
+                f = _vertex_value(x, sim, fval)
                 if f is None:
                     f = yield from evaluate(x)
                     nf += 1
@@ -251,6 +233,35 @@ def cobyla(x0, maxfun: int):
     x = sim[:, n] + d
     if small_radius and shortd and np.linalg.norm(x - sim[:, n]) > 1.0e-3 * RHOEND and nf < maxfun:
         yield from evaluate(x)
+
+
+def _erri_ok(sim, simi, eye):
+    """PRIMA's check that simi inverts sim[:, :n], retrying with a fresh inverse: (simi, ok).
+
+    Checking the pair it returns again gives the same simi and ok.
+    """
+    n = eye.shape[0]
+    erri = abs(simi @ sim[:, :n] - eye).max()
+    if not erri <= 0.1:  # above 0.1, or NaN
+        simi_test = np.linalg.inv(sim[:, :n])
+        erri_test = abs(simi_test @ sim[:, :n] - eye).max()
+        if erri_test < erri or (np.isnan(erri) and not np.isnan(erri_test)):
+            simi, erri = simi_test, erri_test
+    return simi, erri <= 1
+
+
+def _vertex_value(x, sim, fval):
+    """f at the vertex or pole (fval[n]) within 1e-4 RHOEND of x, or None if there is none."""
+    n = x.size
+    pole = sim[:, n]
+    step = x - pole
+    diff = x[:, None] - (pole[:, None] + sim[:, :n])
+    distsq = np.add.reduce(diff * diff, axis=0).tolist() + [np.add.reduce(step * step)]
+    dmin = min(distsq)
+    # np.argmin would stop at a NaN, which is never close enough
+    if dmin <= (1e-4 * RHOEND) * (1e-4 * RHOEND) and not any(map(math.isnan, distsq)):
+        return fval[distsq.index(dmin)]
+    return None
 
 
 def _moderatef(f):

@@ -16,9 +16,9 @@ per-half update (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) would give it, so
 the statevector is the same bit for bit. A layer costs 5 + 3n numpy calls.
 
 The state, phase and scratch buffers and the per-qubit views are built once
-per state size and kept in a module dict keyed by 2^n (at most
-`MAX_BUFFER_SIZES` sizes, some 32 KB up to 2^8 amplitudes; the oldest size
-goes first), so an evaluation allocates nothing per layer or per qubit.
+per state size and cached by 2^n (at most `MAX_VERTICES` sizes, some 32 KB up
+to 2^8 amplitudes; the least recently used size goes first), so an
+evaluation allocates nothing per layer or per qubit.
 `objective` evaluates in those buffers; `evolve` returns a copy of the
 final state, so the caller owns what it gets. Because the buffers are
 shared, the module is not thread-safe: evaluate from one thread per process.
@@ -29,8 +29,11 @@ Cost is O(p * n * 2^n) amplitude updates; no gate matrices are materialized.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+
+from .graphs import MAX_VERTICES
 
 
 class ParameterVector:
@@ -68,28 +71,19 @@ def _qubit_count(size: int) -> int:
     return n
 
 
-MAX_BUFFER_SIZES = 8
-
-_buffers: dict[int, tuple] = {}  # 2^n -> (initial amplitude, psi, phase, [(view, swapped, a, b)] per qubit)
-
-
+@lru_cache(maxsize=MAX_VERTICES)
 def _buffers_for(size: int) -> tuple:
-    """The buffers and views for a state of `size` amplitudes, built on first use."""
-    bufs = _buffers.get(size)
-    if bufs is None:
-        n = _qubit_count(size)
-        if len(_buffers) >= MAX_BUFFER_SIZES:
-            del _buffers[next(iter(_buffers))]
-        psi = np.empty(size, dtype=np.complex128)
-        a = np.empty(size, dtype=np.complex128)
-        b = np.empty(size, dtype=np.complex128)
-        butterflies = []
-        for q in range(n):
-            shape = (size >> (q + 1), 2, 1 << q)
-            v = psi.reshape(shape)
-            butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
-        bufs = _buffers[size] = (1.0 / np.sqrt(size), psi, np.empty(size, dtype=np.complex128), butterflies)
-    return bufs
+    """(initial amplitude, psi, phase, [(view, swapped, a, b)] per qubit) for a state of `size` amplitudes."""
+    n = _qubit_count(size)
+    psi = np.empty(size, dtype=np.complex128)
+    a = np.empty(size, dtype=np.complex128)
+    b = np.empty(size, dtype=np.complex128)
+    butterflies = []
+    for q in range(n):
+        shape = (size >> (q + 1), 2, 1 << q)
+        v = psi.reshape(shape)
+        butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
+    return 1.0 / np.sqrt(size), psi, np.empty(size, dtype=np.complex128), butterflies
 
 
 def _evolve_in_place(diag: np.ndarray, params: ParameterVector) -> np.ndarray:

@@ -288,7 +288,7 @@ def test_writing_into_evolve_result_does_not_change_the_next_call():
 
 def test_interleaved_sizes_and_depths_equal_reference_bit_for_bit():
     # calls that switch state size and depth at random reuse the per-size buffers; two sizes
-    # beyond 8 qubits make the buffer dict drop its oldest entries and rebuild them
+    # beyond 8 qubits make the buffer cache drop its least recently used sizes and rebuild them
     rng = np.random.default_rng(2026)
     cases = []
     for n in range(3, 9):

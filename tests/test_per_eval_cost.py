@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_per_eval_cost_runs_one_round():
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "per_eval_cost.py"), "--reps", "1", "--calls", "2"],
+        [sys.executable, str(ROOT / "tools" / "per_eval_cost.py"), "--reps", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,

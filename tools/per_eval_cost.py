@@ -6,17 +6,19 @@ Each tree's `qaoa_pca` package is loaded under a module name of its own, so
 both run side by side on the same numpy. Two costs are measured:
 
 - COBYLA + `optimizer.minimize`, in µs per evaluation. The objective values
-  at the benchmark's train-p2 starts (the first two unit-weight graphs on 5
-  and on 6 vertices of `build_graph_set(5, 6)`, one start per TQA step) are
-  recorded once; each tree's `minimize` then runs against a replay of those
+  at the starts of the benchmark's train-p2 workload (`build_train_p2` in
+  perfbench/workloads.py: the first `TRAIN_PER_N` unit-weight graphs on 5 and
+  on 6 vertices of `build_graph_set(5, 6)` at `GEN_SEED`, p = 2, one start
+  per TQA step) are recorded once with this checkout's package; each tree's `minimize` then runs against a replay of those
   values, so the time is the optimizer's own. Before timing, both trees must
   call f at the recorded points and return the same `OptResult` on every
   start, or the script stops.
 - `engine.objective`, in µs per call, for n = 4..8 and p = 1, 2, 4, 8, on a
   weighted cycle with chords.
 
-Round r times the base tree first when r is even and the head tree first when
-it is odd. Medians over the rounds go to stderr as a table; the last stdout
+The head tree is this checkout's `src`; `--base` names the other. Round r
+times the base tree first when r is even and the head tree first when it is
+odd. Medians over the rounds go to stderr as a table; the last stdout
 line is one JSON object with them, the rounds the head tree was faster in,
 nproc and the Python and numpy versions.
 """
@@ -38,8 +40,11 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-GEN_SEED = 2024  # the benchmark's generator seed
-TRAIN_P = 2
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import GEN_SEED, TRAIN_PER_N  # noqa: E402  (imports no qaoa_pca at module level)
+
+TRAIN_P = 2  # build_train_p2's depth
+OBJECTIVE_CALLS = 200  # objective calls per (n, p), tree and round
 OBJECTIVE_N = (4, 5, 6, 7, 8)
 OBJECTIVE_P = (1, 2, 4, 8)
 clock = time.perf_counter
@@ -62,7 +67,7 @@ def train_p2_starts(tree: dict) -> list[tuple]:
     """(objective, x0) for every TQA start of the train-p2 graphs."""
     engine, optimizer = tree["engine"], tree["optimizer"]
     every = tree["pipeline"].build_graph_set(5, 6, False, GEN_SEED)
-    graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:2]]
+    graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:TRAIN_PER_N]]
     out = []
     for wg in graphs:
         diag = tree["maxcut"].cost_diagonal(wg)
@@ -131,12 +136,12 @@ def objective_cases(tree: dict) -> dict:
     return cases
 
 
-def time_objective(tree: dict, diag, theta, calls: int) -> float:
+def time_objective(tree: dict, diag, theta) -> float:
     objective = tree["engine"].objective
     t0 = clock()
-    for _ in range(calls):
+    for _ in range(OBJECTIVE_CALLS):
         objective(diag, theta)
-    return (clock() - t0) / calls * 1e6
+    return (clock() - t0) / OBJECTIVE_CALLS * 1e6
 
 
 def compare(samples: dict) -> dict:
@@ -152,14 +157,13 @@ def compare(samples: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, default=ROOT / "src", help="src directory of the tree to compare against")
-    ap.add_argument("--head", type=Path, default=ROOT / "src", help="src directory of the tree under test")
     ap.add_argument("--reps", type=int, default=30, help="interleaved rounds")
-    ap.add_argument("--calls", type=int, default=200, help="objective calls per (n, p), tree and round")
     args = ap.parse_args(argv)
-    if args.reps < 1 or args.calls < 1:
-        ap.error("--reps and --calls must be at least 1")
+    if args.reps < 1:
+        ap.error("--reps must be at least 1")
 
-    trees = {"base": load_tree(args.base.resolve(), "qaoa_pca_base"), "head": load_tree(args.head.resolve(), "qaoa_pca_head")}
+    head = ROOT / "src"
+    trees = {"base": load_tree(args.base.resolve(), "qaoa_pca_base"), "head": load_tree(head, "qaoa_pca_head")}
     runs = record(trees["head"], train_p2_starts(trees["head"]))
     for label, tree in trees.items():
         check_replay(tree, label, runs)
@@ -174,14 +178,14 @@ def main(argv=None) -> int:
         for case in objective_us:
             for label in order:
                 diag, theta = cases[label][case]
-                objective_us[case][label].append(time_objective(trees[label], diag, theta, args.calls))
+                objective_us[case][label].append(time_objective(trees[label], diag, theta))
 
     result = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "base": str(args.base),
-        "head": str(args.head),
+        "head": str(head),
         "reps": args.reps,
         "evals_per_rep": sum(len(values) for _, _, values, _ in runs),
         "minimize_us_per_eval": compare(minimize_us),
