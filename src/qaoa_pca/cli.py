@@ -27,7 +27,6 @@ from .pipeline import (
     build_eval_set,
     build_graph_set,
     compare,
-    config_hash,
     evaluate_pca,
     evaluate_standard,
     pca_records_filename,
@@ -45,15 +44,6 @@ from .records import (
     write_scatter,
     write_text_atomic,
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _parse_vertex_range(text: str) -> tuple[int, int]:
@@ -108,7 +98,7 @@ def _args_hash(args) -> str:
         if k in _INPUT_FILE_FLAGS and v is not None:
             v = hashlib.sha256(Path(v).read_bytes()).hexdigest()
         items.append((k, repr(v)))
-    return config_hash(tuple(sorted(items)))
+    return hashlib.sha256(repr(tuple(sorted(items))).encode("utf-8")).hexdigest()[:12]
 
 
 def _log_run(args) -> None:
@@ -166,10 +156,6 @@ def _cmd_evaluate(args) -> int:
         if args.model is None or args.components is None or args.matrix is None:
             raise ValueError("evaluate needs --standard --p, or --model, --components and --matrix")
         model = load_model(args.model)
-        if args.components > model.n_components:
-            raise ValueError(
-                f"--components {args.components} exceeds the model's {model.n_components} components"
-            )
         _, rows = read_matrix(args.matrix)
         cfg = EvalConfig(p=model.p, k_components=args.components, restarts=args.restarts, seed=args.seed)
         records = evaluate_pca(
@@ -223,7 +209,7 @@ def _cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
         "--workers",
@@ -238,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="omit timestamps so reruns are byte-identical",
     )
 
-    parser = _Parser(prog="qaoa-pca", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="qaoa-pca", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen-graphs", parents=[common], help="enumerate or sample graph sets")
     p_gen.add_argument("--n", required=True, help="vertex count N or range LO..HI")
@@ -289,8 +275,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage (exit code 1 here)
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

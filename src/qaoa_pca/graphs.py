@@ -70,14 +70,6 @@ class WeightedGraph:
             if not (w > 0 and np.isfinite(w)):
                 raise ValueError(f"weight of edge {e} must be a finite positive real, got {w}")
 
-    @property
-    def total_weight(self) -> float:
-        return float(sum(self.weights.values()))
-
-    def weight_list(self) -> list[float]:
-        """Weights in sorted-edge order."""
-        return [self.weights[e] for e in self.graph.sorted_edges()]
-
 
 @dataclass(frozen=True, order=True)
 class CanonicalKey:

@@ -44,10 +44,6 @@ class ParameterMatrix:
         object.__setattr__(self, "rows", rows)
 
     @property
-    def row_count(self) -> int:
-        return self.rows.shape[0]
-
-    @property
     def p(self) -> int:
         return self.rows.shape[1] // 2
 
@@ -111,7 +107,7 @@ def fit(X: ParameterMatrix) -> PCAModel:
     rows = X.rows
     mean = rows.mean(axis=0)
     centered = rows - mean
-    cov = centered.T @ centered / (X.row_count - 1)
+    cov = centered.T @ centered / (len(rows) - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending; columns are eigenvectors
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -152,27 +148,17 @@ def project(model: PCAModel, theta: ParameterVector, k: int) -> CoefficientVecto
     return CoefficientVector(model.components[:k] @ (flat - model.mean))
 
 
-def projection_ranges(model: PCAModel, k: int, training_X: ParameterMatrix) -> np.ndarray:
-    """Per-component [lo, hi] bounds of training-row projections, shape (k, 2)."""
-    if not (1 <= k <= model.n_components):
-        raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
-    if training_X.rows.shape[1] != model.mean.size:
-        raise ValueError("training matrix row length does not match the model")
-    proj = (training_X.rows - model.mean) @ model.components[:k].T  # (rows, k)
-    return np.stack([proj.min(axis=0), proj.max(axis=0)], axis=1)
-
-
 def sample_coefficients(
     model: PCAModel, k: int, training_X: ParameterMatrix, seed: int
 ) -> CoefficientVector:
-    """Uniform draw inside the empirical projection range of each component."""
+    """Uniform draw between the least and greatest projection of the training rows on each component."""
     if not (1 <= k <= model.n_components):
         raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
     if model.degenerate:
         return CoefficientVector(np.zeros(k))
-    ranges = projection_ranges(model, k, training_X)
+    proj = (training_X.rows - model.mean) @ model.components[:k].T  # (rows, k)
     rng = np.random.default_rng(seed)
-    return CoefficientVector(rng.uniform(ranges[:, 0], ranges[:, 1]))
+    return CoefficientVector(rng.uniform(proj.min(axis=0), proj.max(axis=0)))
 
 
 def save_model(path, model: PCAModel) -> None:

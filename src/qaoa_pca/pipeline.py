@@ -15,7 +15,7 @@ import itertools
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .optimizer import OptimizerConfig, optimize_graph, train_graph
 from .pca import CoefficientVector, ParameterMatrix, PCAModel, expand, sample_coefficients
-from .records import METHOD_PCA, ComparisonRow, RunRecord, record_from_dict, record_to_dict
+from .records import METHOD_PCA, ComparisonRow, RunRecord
 from .stats import PairedSample, median, wilcoxon_signed_rank
 
 TRAINING_SETS = ("unweighted", "weighted")
@@ -49,11 +49,6 @@ def stable_hash(*parts) -> int:
     """64-bit integer digest of the stringified parts; stable across runs and platforms."""
     text = "\x1f".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-
-
-def config_hash(cfg) -> str:
-    """Short hex fingerprint of a config's repr, for provenance headers."""
-    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,10 @@ class Checkpoint:
     """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
     `keys` maps each graph id to the key its record must carry to be reused.
-    Lines under any other key, and lines that are not a JSON object with a
-    string graph id, are preserved and ignored; a truncated final line
-    (cut-off run) is skipped on load, and the first `add` ends it with a
+    Lines under any other key, lines that are not a JSON object with a
+    string graph id, and records with a field missing or malformed are
+    preserved and ignored, so their graphs are recomputed; a truncated final
+    line (cut-off run) is skipped on load, and the first `add` ends it with a
     newline so the new record starts a line of its own.
     """
 
@@ -124,11 +120,17 @@ class Checkpoint:
                 continue
             if not isinstance(obj, dict) or not isinstance(obj.get("graph_id"), str):
                 continue  # valid JSON, but not a record line
-            key = keys.get(obj["graph_id"])
+            gid = obj["graph_id"]
+            key = keys.get(gid)
             if key is None or obj.get("config") != key:
                 continue
-            rec = record_from_dict(obj)
-            self.done[rec.graph_id] = rec
+            try:
+                self.done[gid] = RunRecord(
+                    gid, obj["method"], obj["layers"], obj["param_count"],
+                    obj["evals"], obj["approx_ratio"], tuple(obj["best_params"]),
+                )
+            except (KeyError, TypeError, ValueError):  # a field missing or malformed
+                pass
         self._fh = None
 
     def add(self, rec: RunRecord) -> None:
@@ -137,7 +139,7 @@ class Checkpoint:
             if self._torn:
                 self._fh.write("\n")
                 self._torn = False
-        self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **record_to_dict(rec)}) + "\n")
+        self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **asdict(rec)}) + "\n")
         self._fh.flush()  # a killed run keeps every finished graph
         self.done[rec.graph_id] = rec
 
@@ -388,7 +390,11 @@ REPORT_COLUMNS = [
 
 
 def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]], timestamp: str | None = None) -> str:
-    """Markdown comparison table: one line per configuration, both baselines."""
+    """Markdown comparison table: one line per configuration, both baselines.
+
+    Each pair holds the two `compare` rows of one PCA record list, so the
+    configuration's own columns are read from the first.
+    """
 
     def num(x: float) -> str:
         return format(x, ".4g")
@@ -399,12 +405,6 @@ def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]], timestamp: st
     lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(REPORT_COLUMNS)) + "|")
     for same_layers, same_params in rows:
-        if (
-            same_layers.training_set != same_params.training_set
-            or same_layers.layers != same_params.layers
-            or same_layers.param_count != same_params.param_count
-        ):
-            raise ValueError("baseline rows of one configuration disagree on identity fields")
         cells = [
             same_layers.training_set,
             str(same_layers.layers),

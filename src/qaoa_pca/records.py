@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,21 +46,6 @@ class RunRecord:
             raise ValueError(
                 f"best_params must hold 2p={2 * self.layers} angles, got {len(self.best_params)}"
             )
-
-
-def record_to_dict(rec: RunRecord) -> dict:
-    """JSON-ready fields of a RunRecord, in declaration order."""
-    return asdict(rec)
-
-
-_RUN_RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
-
-
-def record_from_dict(obj: dict) -> RunRecord:
-    """Inverse of `record_to_dict`; keys other than RunRecord's fields are ignored."""
-    rec = {name: obj[name] for name in _RUN_RECORD_FIELDS}
-    rec["best_params"] = tuple(rec["best_params"])
-    return RunRecord(**rec)
 
 
 @dataclass(frozen=True)
@@ -138,18 +123,21 @@ def read_records(path) -> list[RunRecord]:
     for row in rows[1:]:
         if len(row) != len(RECORDS_FIELDS):
             raise RecordFormatError(f"{path}: malformed row {row!r}")
-        layers = int(row[2])
-        records.append(
-            RunRecord(
-                graph_id=row[0],
-                method=row[1],
-                layers=layers,
-                param_count=int(row[3]),
-                evals=int(row[4]),
-                approx_ratio=float(row[5]),
-                best_params=(0.0,) * (2 * layers),
+        try:
+            layers = int(row[2])
+            records.append(
+                RunRecord(
+                    graph_id=row[0],
+                    method=row[1],
+                    layers=layers,
+                    param_count=int(row[3]),
+                    evals=int(row[4]),
+                    approx_ratio=float(row[5]),
+                    best_params=(0.0,) * (2 * layers),
+                )
             )
-        )
+        except ValueError as exc:  # a number that does not parse, or an unknown method
+            raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
     return records
 
 
@@ -188,18 +176,19 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise RecordFormatError(f"{path}: empty matrix file")
     header = rows[0]
-    if len(header) < 3 or header[0] != "graph_id" or (len(header) - 1) % 2 != 0:
-        raise RecordFormatError(f"{path}: unexpected matrix header {header!r}")
     p = (len(header) - 1) // 2
-    if header != matrix_fields(p):
+    if p < 1 or header != matrix_fields(p):
         raise RecordFormatError(f"{path}: unexpected matrix header {header!r}")
     ids = []
     data = []
     for row in rows[1:]:
         if len(row) != len(header):
             raise RecordFormatError(f"{path}: malformed row {row!r}")
+        try:
+            data.append([float(x) for x in row[1:]])
+        except ValueError as exc:
+            raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
         ids.append(row[0])
-        data.append([float(x) for x in row[1:]])
     return ids, np.array(data, dtype=np.float64).reshape(len(ids), 2 * p)
 
 

@@ -36,7 +36,7 @@ class PairedSample:
 class TestResult:
     w_statistic: float
     p_value: float
-    rbc: float
+    rbc: float  # rank-biserial (W+ - W-)/(W+ + W-); 0 when every pair ties
     n_effective: int
     degenerate: bool = False
 
@@ -98,11 +98,6 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
         p = _normal_two_tailed(ranks2, w2 / 2.0)
     rbc = (w2_plus - w2_minus) / (w2_plus + w2_minus)
     return TestResult(w2 / 2.0, p, rbc, n)
-
-
-def rank_biserial(s: PairedSample) -> float:
-    """(W+ - W-)/(W+ + W-) over nonzero differences; 0 when everything ties."""
-    return wilcoxon_signed_rank(s).rbc
 
 
 def median(v) -> float:

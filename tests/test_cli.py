@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qaoa_pca
-from qaoa_pca.cli import main
+from qaoa_pca.cli import _args_hash, build_parser, main
 from qaoa_pca.graphs import load_graph_set
 from qaoa_pca.pipeline import (
     REPORT_CONFIGURATIONS,
@@ -48,7 +48,7 @@ def test_gen_graphs_range_and_sampling(tmp_path):
                "--out", sampled) == 0
     graphs = load_graph_set(sampled)
     assert len(graphs) == 10
-    assert all(0 < w <= 1 for wg in graphs for w in wg.weight_list())
+    assert all(0 < w <= 1 for wg in graphs for w in wg.weights.values())
 
 
 def test_gen_graphs_rerun_is_byte_identical(tmp_path):
@@ -272,7 +272,19 @@ def test_evaluate_component_bound_names_limit(tmp_path, capsys):
     code = run("evaluate", "--graphs", graphs, "--model", model, "--components", "6",
                "--matrix", matrix, "--out", tmp_path / "r.csv")
     assert code == 1
-    assert "2 components" in capsys.readouterr().err
+    assert "k_components must be in 1..1 for p=1" in capsys.readouterr().err
+
+
+def test_config_digest_is_pinned(tmp_path):
+    # the `# config` value of a fixed call; artifacts written earlier must keep matching it
+    graphs = tmp_path / "hand.graphs"
+    graphs.write_text("# graph-set v1\n\n3 2\n0 1 1.0\n1 2 0.5\n")
+    train = ["train", "--graphs", str(graphs), "--p", "2", "--seed", "7", "--max-evals", "50",
+             "--out", str(tmp_path / "m.csv"), "--no-timestamp"]
+    standard = ["evaluate", "--graphs", str(graphs), "--standard", "--p", "1",
+                "--out", str(tmp_path / "r.csv"), "--workers", "1"]
+    assert _args_hash(build_parser().parse_args(train)) == "d90a772cb4ab"
+    assert _args_hash(build_parser().parse_args(standard)) == "9bc6881b8c62"
 
 
 def test_exit_codes_on_bad_usage(tmp_path, capsys):

@@ -55,13 +55,6 @@ def test_weighted_graph_validates_weights():
         WeightedGraph(g, {(0, 1): float("nan"), (1, 2): 1.0})
 
 
-def test_total_weight_and_weight_list_order():
-    g = Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-    wg = WeightedGraph(g, {(0, 2): 3.0, (0, 1): 1.0, (1, 2): 2.0})
-    assert wg.total_weight == 6.0
-    assert wg.weight_list() == [1.0, 3.0, 2.0]  # (0,1), (0,2), (1,2)
-
-
 def test_is_connected():
     assert is_connected(Graph(1, frozenset()))
     assert is_connected(path_graph(5))
@@ -179,7 +172,7 @@ def test_assign_random_weights_bounds_and_determinism():
     wg1 = assign_random_weights(g, seed=11)
     wg2 = assign_random_weights(g, seed=11)
     assert wg1 == wg2
-    ws = np.array(wg1.weight_list())
+    ws = np.array(list(wg1.weights.values()))
     assert np.all(ws > 0) and np.all(ws <= 1)
     assert assign_random_weights(g, seed=12) != wg1
 

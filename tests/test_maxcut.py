@@ -1,10 +1,39 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from qaoa_pca.graphs import Graph, WeightedGraph, assign_random_weights, unit_weights
-from qaoa_pca.maxcut import Assignment, brute_force_cmin, cost_diagonal, cut_value
+from qaoa_pca.graphs import MAX_VERTICES, Graph, WeightedGraph, assign_random_weights, unit_weights
+from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
+
+
+# the oracle: cut values summed edge by edge, sharing no code with cost_diagonal
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """A two-coloring of n vertices, packed as a bitmask (bit i set means z_i = -1)."""
+
+    n: int
+    bits: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"assignment length must be in 1..{MAX_VERTICES}, got {self.n}")
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError(f"assignment bits {self.bits:#x} out of range for n={self.n}")
+
+
+def cut_value(wg: WeightedGraph, a: Assignment) -> float:
+    """Total weight of edges whose endpoints lie on opposite sides of the assignment."""
+    if a.n != wg.graph.n:
+        raise ValueError(f"assignment length {a.n} != vertex count {wg.graph.n}")
+    total = 0.0
+    for (u, v), w in wg.weights.items():
+        if ((a.bits >> u) ^ (a.bits >> v)) & 1:
+            total += w
+    return total
 
 
 def triangle():
@@ -63,7 +92,7 @@ def test_cost_diagonal_matches_cut_values():
 def test_brute_force_cmin_triangle():
     cmin, best = brute_force_cmin(triangle())
     assert cmin == -2.0
-    assert cut_value(triangle(), best) == 2.0
+    assert cut_value(triangle(), Assignment(3, best)) == 2.0
 
 
 def test_brute_force_cmin_weighted_path():
@@ -71,11 +100,11 @@ def test_brute_force_cmin_weighted_path():
     wg = WeightedGraph(g, {(0, 1): 1.5, (1, 2): 2.5})
     cmin, best = brute_force_cmin(wg)
     assert cmin == -4.0
-    assert best.bits in (0b010, 0b101)
+    assert best in (0b010, 0b101)
 
 
 def test_brute_force_cmin_prefers_first_minimum():
     # single edge: assignments 1 and 2 both cut it; argmin takes the lower index
     wg = unit_weights(Graph(2, frozenset({(0, 1)})))
     _, best = brute_force_cmin(wg)
-    assert best.bits == 1
+    assert best == 1

@@ -101,3 +101,23 @@ def test_objective_observer_reads_the_layer_count(monkeypatch, reduced):
         records = [train_graph(wg, graph_id(wg.graph), 2, cfg) for wg in graphs]
     assert len(seen) >= sum(rec.evals for rec in records) > 0
     assert set(seen) == {2}
+
+
+@pytest.mark.parametrize("name", ["checks.py", "workloads.py", "run.py"])
+def test_every_benchmark_import_resolves(name):
+    # the benchmark imports the package inside its functions, so a removed name
+    # would otherwise fail only when the benchmark reaches that call
+    path = SPANS.parent / name
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qaoa_pca":
+            module = importlib.import_module(node.module)
+            found += [(node.lineno, node.module, alias.name, hasattr(module, alias.name)) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "qaoa_pca":
+                    importlib.import_module(alias.name)
+                    found.append((node.lineno, alias.name, "", True))
+    assert found, f"{path} imports nothing from qaoa_pca"
+    missing = [f"{name}:{line}: {mod}.{attr}" for line, mod, attr, ok in found if not ok]
+    assert not missing, f"names the benchmark imports are gone: {missing}"

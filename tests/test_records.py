@@ -5,6 +5,7 @@ import pytest
 
 from qaoa_pca import records
 from qaoa_pca.records import (
+    RECORDS_FIELDS,
     ComparisonRow,
     RecordFormatError,
     RunRecord,
@@ -64,6 +65,20 @@ def test_records_malformed_row(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("layers", "x"), ("param_count", "2.5"), ("evals", ""), ("approx_ratio", "abc"), ("method", "qaoa")],
+)
+def test_records_bad_value_names_the_file_and_row(tmp_path, column, value):
+    row = dict(zip(RECORDS_FIELDS, ["n04k000000000007", "standard", "1", "2", "9", "0.5"]))
+    row[column] = value
+    path = tmp_path / "records.csv"
+    path.write_text(",".join(RECORDS_FIELDS) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(RecordFormatError) as exc:
+        read_records(path)
+    assert str(exc.value).startswith(f"{path}: bad row {list(row.values())!r}")
+
+
 def test_matrix_fields_layout():
     assert matrix_fields(2) == ["graph_id", "gamma_1", "gamma_2", "beta_1", "beta_2"]
 
@@ -91,6 +106,21 @@ def test_matrix_bad_header(tmp_path):
     path.write_text("graph_id,g1,b1\nX,0.0,0.0\n")
     with pytest.raises(RecordFormatError):
         read_matrix(path)
+
+
+def test_matrix_header_without_angles(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("graph_id\nX\n")
+    with pytest.raises(RecordFormatError, match="unexpected matrix header"):
+        read_matrix(path)
+
+
+def test_matrix_bad_value_names_the_file_and_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("graph_id,gamma_1,beta_1\nX,0.5,0.25\nY,0.5,abc\n")
+    with pytest.raises(RecordFormatError) as exc:
+        read_matrix(path)
+    assert str(exc.value).startswith(f"{path}: bad row ['Y', '0.5', 'abc']")
 
 
 def test_comparison_round_trip(tmp_path):

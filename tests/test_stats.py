@@ -6,7 +6,6 @@ from qaoa_pca.stats import (
     EXACT_LIMIT,
     PairedSample,
     median,
-    rank_biserial,
     wilcoxon_signed_rank,
 )
 
@@ -44,7 +43,6 @@ def test_all_equal_is_degenerate():
     assert res.p_value == 1.0
     assert res.rbc == 0.0
     assert res.n_effective == 0
-    assert rank_biserial(s) == 0.0
 
 
 def test_constant_shift_ten_pairs():
@@ -83,13 +81,13 @@ def test_exact_branch_matches_enumeration_on_random_corpus():
 def test_rbc_endpoints():
     a = (5.0, 6.0, 7.0, 8.0)
     b = (1.0, 2.0, 3.0, 4.0)
-    assert rank_biserial(PairedSample(a, b)) == 1.0
-    assert rank_biserial(PairedSample(b, a)) == -1.0
+    assert wilcoxon_signed_rank(PairedSample(a, b)).rbc == 1.0
+    assert wilcoxon_signed_rank(PairedSample(b, a)).rbc == -1.0
 
 
 def test_rbc_tied_magnitudes_cancel():
     s = PairedSample((1.0, 0.0), (0.0, 1.0))  # d = (+1, -1)
-    assert rank_biserial(s) == 0.0
+    assert wilcoxon_signed_rank(s).rbc == 0.0
 
 
 def test_antisymmetry():
