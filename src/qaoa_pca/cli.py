@@ -21,6 +21,7 @@ from .optimizer import OptimizerConfig
 from .pca import ParameterMatrix, fit, load_model, save_model
 from .pipeline import (
     BASELINE_KINDS,
+    DEPTHS,
     REPORT_CONFIGURATIONS,
     EvalConfig,
     TrainingConfig,
@@ -74,10 +75,9 @@ def _timestamp(args) -> str | None:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _provenance(args, extra: dict | None = None) -> dict:
+def _provenance(args) -> dict:
     # results depend on numpy's arithmetic, so its version travels with them
     out = {"config": _args_hash(args), "seed": args.seed, "numpy": np.__version__}
-    out.update(extra or {})
     ts = _timestamp(args)
     if ts:
         out["generated"] = ts
@@ -125,9 +125,10 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{args.graphs}: no graphs to train on")
     cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
     ids, matrix, records = run_training(cfg, graphs, checkpoint_path=args.checkpoint, workers=args.workers)
-    write_matrix(args.out, ids, matrix.rows, provenance=_provenance(args))
+    provenance = _provenance(args)  # once, so both files carry the same lines
+    write_matrix(args.out, ids, matrix.rows, provenance=provenance)
     if args.records:
-        write_records(args.records, records, provenance=_provenance(args))
+        write_records(args.records, records, provenance=provenance)
     _log_run(args)
     print(f"trained {len(ids)} graphs at p={args.p}, matrix to {args.out}", file=sys.stderr)
     return 0
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", parents=[common], help="optimize every graph, save the parameter matrix")
     p_train.add_argument("--graphs", required=True, help="graph-set file to train on")
-    p_train.add_argument("--p", type=int, required=True, choices=(1, 2, 4, 8), help="circuit layers")
+    p_train.add_argument("--p", type=int, required=True, choices=DEPTHS, help="circuit layers")
     p_train.add_argument("--records", default=None, help="also write per-run records CSV here")
     p_train.add_argument("--checkpoint", default=None, help="append-only resume file")
     p_train.add_argument("--max-evals", type=int, default=1000, help="objective evaluation budget per start")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", parents=[common], help="run reduced or standard optimization on an eval set")
     p_eval.add_argument("--graphs", required=True, help="evaluation graph-set file")
     p_eval.add_argument("--standard", action="store_true", help="full-parameter baseline mode")
-    p_eval.add_argument("--p", type=int, default=None, help="layers (standard mode)")
+    p_eval.add_argument("--p", type=int, default=None, choices=DEPTHS, help="layers (standard mode)")
     p_eval.add_argument("--model", default=None, help="component model file (reduced mode)")
     p_eval.add_argument("--components", type=int, default=None, help="coefficients to optimize (reduced mode)")
     p_eval.add_argument("--matrix", default=None, help="training matrix CSV for initialization ranges")

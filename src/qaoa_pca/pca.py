@@ -35,8 +35,8 @@ class ParameterMatrix:
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
-        if rows.shape[0] < 2:
-            raise ValueError(f"need at least 2 rows to fit, got {rows.shape[0]}")
+        if rows.shape[0] < 1:
+            raise ValueError("need at least one row")
         if rows.shape[1] < 2 or rows.shape[1] % 2 != 0:
             raise ValueError(f"row length must be even 2p >= 2, got {rows.shape[1]}")
         if not np.all(np.isfinite(rows)):
@@ -49,7 +49,7 @@ class ParameterMatrix:
 
 
 class CoefficientVector:
-    """The k component coefficients of a reduced run as one read-only float64 array."""
+    """The k starting coefficients of one reduced-run restart as one read-only float64 array."""
 
     __slots__ = ("coeffs",)
 
@@ -62,14 +62,10 @@ class CoefficientVector:
         coeffs.flags.writeable = False
         self.coeffs = coeffs
 
-    @property
-    def k(self) -> int:
-        return self.coeffs.size
-
 
 @dataclass(frozen=True)
 class PCAModel:
-    """Mean vector plus orthonormal components sorted by decreasing variance.
+    """Mean vector plus all 2p orthonormal components, sorted by decreasing variance.
 
     degenerate is set when the training rows were all identical, i.e. every
     eigenvalue is zero; such a model still expands (to its mean).
@@ -77,20 +73,22 @@ class PCAModel:
 
     p: int
     mean: np.ndarray
-    components: np.ndarray  # shape (m, 2p), rows are the components
-    eigenvalues: np.ndarray  # shape (m,), nonincreasing, >= 0
+    components: np.ndarray  # shape (2p, 2p), rows are the components
+    eigenvalues: np.ndarray  # shape (2p,), nonincreasing, >= 0
     degenerate: bool = field(default=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         comps = np.asarray(self.components, dtype=np.float64)
         eig = np.asarray(self.eigenvalues, dtype=np.float64)
-        if mean.shape != (2 * self.p,):
-            raise ValueError(f"mean must have length 2p={2 * self.p}, got {mean.shape}")
-        if comps.ndim != 2 or comps.shape[1] != 2 * self.p or comps.shape[0] > 2 * self.p:
-            raise ValueError(f"components shape {comps.shape} invalid for p={self.p}")
-        if eig.shape != (comps.shape[0],):
-            raise ValueError("one eigenvalue per component required")
+        dim = 2 * self.p
+        if mean.shape != (dim,) or comps.shape != (dim, dim) or eig.shape != (dim,):
+            raise ValueError(
+                f"p={self.p} needs a full basis of {dim} components of length {dim}, got"
+                f" mean {mean.shape}, components {comps.shape}, eigenvalues {eig.shape}"
+            )
+        if not all(np.all(np.isfinite(a)) for a in (mean, comps, eig)):
+            raise ValueError("mean, components and eigenvalues must be finite")
         if np.any(eig < 0) or np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be nonnegative and nonincreasing")
         object.__setattr__(self, "mean", mean)
@@ -105,6 +103,8 @@ class PCAModel:
 def fit(X: ParameterMatrix) -> PCAModel:
     """Eigendecomposition of the row covariance (n-1 divisor) of X."""
     rows = X.rows
+    if len(rows) < 2:
+        raise ValueError(f"need at least 2 rows to fit, got {len(rows)}")
     mean = rows.mean(axis=0)
     centered = rows - mean
     cov = centered.T @ centered / (len(rows) - 1)
@@ -125,14 +125,12 @@ def fit(X: ParameterMatrix) -> PCAModel:
     )
 
 
-def expand(model: PCAModel, c: CoefficientVector) -> ParameterVector:
-    """The angles theta = mean + sum_i c_i * component_i."""
-    if c.k > model.n_components:
-        raise ValueError(f"{c.k} coefficients but model holds {model.n_components} components")
-    return ParameterVector.from_array(model.mean + c.coeffs @ model.components[: c.k])
+def expand(model: PCAModel, coeffs: np.ndarray) -> ParameterVector:
+    """The angles theta = mean + sum_i c_i * component_i for the flat float64 coefficients c."""
+    return ParameterVector.from_array(model.mean + coeffs @ model.components[: len(coeffs)])
 
 
-def project(model: PCAModel, theta: ParameterVector, k: int) -> CoefficientVector:
+def project(model: PCAModel, theta: ParameterVector, k: int) -> np.ndarray:
     """Coefficients of theta - mean along the first k components.
 
     expand(project(theta, k)) is the orthogonal projection of theta onto the
@@ -145,7 +143,7 @@ def project(model: PCAModel, theta: ParameterVector, k: int) -> CoefficientVecto
     flat = theta.as_array()
     if flat.shape != model.mean.shape:
         raise ValueError(f"parameter vector has 2p={flat.size}, model expects {model.mean.size}")
-    return CoefficientVector(model.components[:k] @ (flat - model.mean))
+    return model.components[:k] @ (flat - model.mean)
 
 
 def sample_coefficients(
@@ -196,9 +194,7 @@ def load_model(path) -> PCAModel:
         return PCAModel(
             p=p,
             mean=np.array(payload["mean"], dtype=np.float64),
-            components=np.array(payload["components"], dtype=np.float64).reshape(
-                len(payload["components"]), -1
-            ),
+            components=np.array(payload["components"], dtype=np.float64),
             eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
             degenerate=degenerate,
         )

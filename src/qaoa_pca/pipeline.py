@@ -16,6 +16,7 @@ import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,12 @@ from .graphs import (
     unit_weights,
 )
 from .optimizer import OptimizerConfig, optimize_graph, train_graph
-from .pca import CoefficientVector, ParameterMatrix, PCAModel, expand, sample_coefficients
+from .pca import ParameterMatrix, PCAModel, expand, sample_coefficients
 from .records import METHOD_PCA, ComparisonRow, RunRecord
 from .stats import PairedSample, median, wilcoxon_signed_rank
 
 TRAINING_SETS = ("unweighted", "weighted")
+DEPTHS = (1, 2, 4, 8)  # the circuit depths of the full-parameter stages
 BASELINE_KINDS = ("same_layers", "same_params")
 
 # every (training set, layers, retained components) cell of the report
@@ -62,8 +64,8 @@ class TrainingConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        if self.p not in (1, 2, 4, 8):
-            raise ValueError(f"p must be one of 1, 2, 4, 8, got {self.p}")
+        if self.p not in DEPTHS:
+            raise ValueError(f"p must be one of {DEPTHS}, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -174,11 +176,7 @@ def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
         sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r)).coeffs
         for r in range(restarts)
     )
-
-    def angles(c):
-        return expand(model, CoefficientVector(c))
-
-    return optimize_graph(wg, gid, METHOD_PCA, starts, angles, opt)
+    return optimize_graph(wg, gid, METHOD_PCA, starts, partial(expand, model), opt)
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -280,7 +278,8 @@ def evaluate_standard(
     workers: int = 1,
 ) -> list[RunRecord]:
     """Full-parameter runs on each evaluation graph, sorted by graph id."""
-    done = _run_stage(eval_set, train_graph, (p, optimizer_cfg), checkpoint_path, workers)
+    cfg = TrainingConfig(p=p, optimizer=optimizer_cfg)  # the depth rule of run_training
+    done = _run_stage(eval_set, train_graph, (cfg.p, cfg.optimizer), checkpoint_path, workers)
     return [done[gid] for gid in sorted(done)]
 
 
@@ -300,10 +299,6 @@ def evaluate_pca(
     """
     if cfg.p != model.p:
         raise ValueError(f"config p={cfg.p} but the model was fit at p={model.p}")
-    if cfg.k_components > model.n_components:
-        raise ValueError(
-            f"k_components={cfg.k_components} exceeds the model's {model.n_components} components"
-        )
     if training_X.p != model.p:
         raise ValueError(f"training matrix p={training_X.p} does not match model p={model.p}")
     shared = (model, training_X, cfg.k_components, cfg.restarts, cfg.seed, optimizer_cfg)

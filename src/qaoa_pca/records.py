@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -99,6 +100,13 @@ def _write_csv(path, header: list[str], rows, provenance: dict | None = None) ->
     write_text_atomic(path, buf.getvalue())
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):  # float() takes "nan" and "inf"
+        raise ValueError(f"non-finite value {text!r}")
+    return x
+
+
 def _read_csv(path) -> list[list[str]]:
     """Rows of a CSV artifact with the comment and blank lines dropped."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -132,11 +140,11 @@ def read_records(path) -> list[RunRecord]:
                     layers=layers,
                     param_count=int(row[3]),
                     evals=int(row[4]),
-                    approx_ratio=float(row[5]),
+                    approx_ratio=_finite(row[5]),
                     best_params=(0.0,) * (2 * layers),
                 )
             )
-        except ValueError as exc:  # a number that does not parse, or an unknown method
+        except ValueError as exc:  # a number that does not parse or is not finite, or an unknown method
             raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
     return records
 
@@ -185,7 +193,7 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
         if len(row) != len(header):
             raise RecordFormatError(f"{path}: malformed row {row!r}")
         try:
-            data.append([float(x) for x in row[1:]])
+            data.append([_finite(x) for x in row[1:]])
         except ValueError as exc:
             raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
         ids.append(row[0])

@@ -34,11 +34,8 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class TestResult:
-    w_statistic: float
     p_value: float
     rbc: float  # rank-biserial (W+ - W-)/(W+ + W-); 0 when every pair ties
-    n_effective: int
-    degenerate: bool = False
 
 
 def _doubled_ranks(absd: np.ndarray) -> np.ndarray:
@@ -86,7 +83,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
     d = d[d != 0.0]
     n = int(d.size)
     if n == 0:
-        return TestResult(0.0, 1.0, 0.0, 0, degenerate=True)
+        return TestResult(1.0, 0.0)
     absd = np.abs(d)
     ranks2 = _doubled_ranks(absd)
     w2_plus = int(ranks2[d > 0].sum())
@@ -97,7 +94,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
     else:
         p = _normal_two_tailed(ranks2, w2 / 2.0)
     rbc = (w2_plus - w2_minus) / (w2_plus + w2_minus)
-    return TestResult(w2 / 2.0, p, rbc, n)
+    return TestResult(p, rbc)
 
 
 def median(v) -> float:

@@ -1,15 +1,18 @@
+import itertools
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qaoa_pca
+from qaoa_pca import cli
 from qaoa_pca.cli import _args_hash, build_parser, main
 from qaoa_pca.graphs import load_graph_set
 from qaoa_pca.pipeline import (
@@ -107,6 +110,75 @@ def test_train_rerun_byte_identical(tmp_path):
     assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "80",
                "--out", out, "--no-timestamp") == 0
     assert out.read_bytes() == first
+
+
+def test_train_stamps_matrix_and_records_alike_across_a_clock_tick(tmp_path, monkeypatch):
+    # a clock that moves on one second per reading: both files must carry the same `# generated`
+    ticks = itertools.count()
+
+    class TickingClock(datetime):
+        @classmethod
+        def now(cls, tz=None):
+            return datetime(2026, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
+
+    graphs = tmp_path / "g.graphs"
+    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
+    matrix, records = tmp_path / "m.csv", tmp_path / "r.csv"
+    monkeypatch.setattr(cli, "datetime", TickingClock)
+    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "20", "--out", matrix,
+               "--records", records, "--workers", "1") == 0
+
+    def header(path):
+        return [line for line in path.read_text().splitlines() if line.startswith("#")]
+
+    assert any(line.startswith("# generated ") for line in header(matrix))
+    assert header(matrix) == header(records)
+
+
+def test_train_takes_a_one_graph_set_and_fit_pca_refuses_its_matrix(tmp_path, capsys):
+    graphs = tmp_path / "one.graphs"
+    graphs.write_text("# graph-set v1\n\n3 2\n0 1 1.0\n1 2 0.5\n")
+    matrix, records = tmp_path / "m.csv", tmp_path / "r.csv"
+    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "40", "--out", matrix,
+               "--records", records, "--no-timestamp", "--workers", "1") == 0
+    ids, rows = read_matrix(matrix)
+    assert rows.shape == (1, 2) and [r.graph_id for r in read_records(records)] == ids
+    assert run("fit-pca", "--matrix", matrix, "--out", tmp_path / "model.pca") == 1
+    assert "need at least 2 rows to fit, got 1" in capsys.readouterr().err
+
+
+def test_evaluate_standard_takes_only_the_training_depths(tmp_path, capsys):
+    graphs = tmp_path / "one.graphs"
+    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
+    out = tmp_path / "s.csv"
+    assert run("evaluate", "--graphs", graphs, "--standard", "--p", "3", "--out", out,
+               "--workers", "1") == 1
+    assert "invalid choice: 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["nan mean", "nan component", "nan eigenvalue", "truncated"])
+def test_evaluate_refuses_a_model_that_is_not_a_finite_full_basis(tmp_path, capsys, damage):
+    graphs = tmp_path / "g.graphs"
+    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
+    matrix, model = tmp_path / "m.csv", tmp_path / "model.pca"
+    matrix.write_text("graph_id,gamma_1,gamma_2,beta_1,beta_2\n"
+                      "a,0.1,0.5,0.3,0.2\nb,0.3,0.2,0.6,0.1\nc,0.6,0.4,0.2,0.3\nd,0.2,0.1,0.5,0.4\n")
+    assert run("fit-pca", "--matrix", matrix, "--out", model) == 0
+    payload = json.loads(model.read_text())
+    if damage == "nan mean":
+        payload["mean"][0] = float("nan")
+    elif damage == "nan component":
+        payload["components"][1][0] = float("nan")
+    elif damage == "nan eigenvalue":
+        payload["eigenvalues"][0] = float("nan")
+    else:
+        del payload["components"][-1], payload["eigenvalues"][-1]
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("evaluate", "--graphs", graphs, "--model", model, "--components", "2",
+               "--matrix", matrix, "--out", tmp_path / "r.csv", "--workers", "1") == 1
+    assert f"error: {model}: " in capsys.readouterr().err
 
 
 def test_provenance_ignores_workers_checkpoint_and_paths(tmp_path):

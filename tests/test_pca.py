@@ -22,18 +22,24 @@ def random_matrix(rows, p, seed=0):
 
 def test_parameter_matrix_validation():
     with pytest.raises(ValueError):
-        ParameterMatrix(np.zeros((1, 4)))  # one row cannot define variance
+        ParameterMatrix(np.zeros((0, 4)))
     with pytest.raises(ValueError):
         ParameterMatrix(np.zeros((3, 5)))  # odd width has no gamma/beta split
     with pytest.raises(ValueError):
         ParameterMatrix(np.full((3, 4), np.nan))
     X = ParameterMatrix(np.zeros((3, 8)))
     assert X.rows.shape[0] == 3 and X.p == 4
+    assert ParameterMatrix(np.zeros((1, 4))).p == 2  # one trained graph is a matrix
+
+
+def test_fit_needs_two_rows():
+    with pytest.raises(ValueError, match="need at least 2 rows to fit, got 1"):
+        fit(ParameterMatrix(np.zeros((1, 4))))  # one row cannot define variance
 
 
 def test_coefficient_vector_validation():
     c = CoefficientVector((0.5, -1.0))
-    assert c.k == 2 and c.coeffs.dtype == np.float64 and not c.coeffs.flags.writeable
+    assert c.coeffs.shape == (2,) and c.coeffs.dtype == np.float64 and not c.coeffs.flags.writeable
     for bad in ((), (float("inf"),), np.zeros((2, 1))):
         with pytest.raises(ValueError):
             CoefficientVector(bad)
@@ -125,40 +131,40 @@ def test_reconstruction_error_nonincreasing_in_k():
 
 def test_expand_zero_gives_mean():
     model = fit(random_matrix(10, 2, seed=8))
-    pv = expand(model, CoefficientVector((0.0, 0.0)))
+    pv = expand(model, np.zeros(2))
     assert np.allclose(pv.as_array(), model.mean, atol=1e-15)
 
 
 def test_expand_traces_component_line():
     model = fit(random_matrix(10, 2, seed=8))
     for t in (-1.5, 0.4, 2.0):
-        pv = expand(model, CoefficientVector((t,)))
+        pv = expand(model, np.array([t]))
         assert np.allclose(pv.as_array(), model.mean + t * model.components[0], atol=1e-12)
 
 
 def test_expand_too_many_coefficients():
     model = fit(random_matrix(10, 1, seed=8))
-    with pytest.raises(ValueError):
-        expand(model, CoefficientVector((1.0, 1.0, 1.0)))
+    with pytest.raises(ValueError):  # numpy's matmul refuses 3 coefficients over 2 components
+        expand(model, np.ones(3))
 
 
 def test_project_mean_is_zero():
     model = fit(random_matrix(12, 2, seed=10))
     c = project(model, ParameterVector.from_array(model.mean.copy()), 4)
-    assert np.allclose(c.coeffs, 0.0, atol=1e-12)
+    assert np.allclose(c, 0.0, atol=1e-12)
 
 
 def test_project_picks_out_component():
     model = fit(random_matrix(12, 2, seed=11))
     theta = model.mean + 3.0 * model.components[1]
     c = project(model, ParameterVector.from_array(theta), 3)
-    assert np.allclose(c.coeffs, (0.0, 3.0, 0.0), atol=1e-10)
+    assert np.allclose(c, (0.0, 3.0, 0.0), atol=1e-10)
 
 
 def test_sample_coefficients_inside_ranges_and_deterministic():
     X = random_matrix(30, 2, seed=12)
     model = fit(X)
-    proj = np.array([project(model, ParameterVector.from_array(row), 3).coeffs for row in X.rows])
+    proj = np.array([project(model, ParameterVector.from_array(row), 3) for row in X.rows])
     a = sample_coefficients(model, 3, X, seed=77)
     b = sample_coefficients(model, 3, X, seed=77)
     assert np.array_equal(a.coeffs, b.coeffs)
@@ -185,7 +191,7 @@ def test_model_round_trip(tmp_path):
     # invariants survive the trip
     gram = loaded.components @ loaded.components.T
     assert np.allclose(gram, np.eye(loaded.n_components), atol=1e-8)
-    pv = expand(loaded, CoefficientVector((0.0,)))
+    pv = expand(loaded, np.zeros(1))
     assert np.allclose(pv.as_array(), model.mean, atol=1e-15)
 
 
@@ -240,3 +246,4 @@ def test_model_file_fields_are_not_coerced(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=f"model.pca: field '{field}'"):
         load_model(path)
+

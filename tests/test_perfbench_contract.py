@@ -18,8 +18,9 @@ from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, expect
 from qaoa_pca.graphs import graph_id
 from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.optimizer import OptimizerConfig, train_graph
-from qaoa_pca.pca import ParameterMatrix, fit
+from qaoa_pca.pca import ParameterMatrix, fit, load_model
 from qaoa_pca.pipeline import Checkpoint, EvalConfig, TrainingConfig, build_graph_set, evaluate_pca, run_training
+from qaoa_pca.records import read_matrix
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -121,3 +122,15 @@ def test_every_benchmark_import_resolves(name):
     assert found, f"{path} imports nothing from qaoa_pca"
     missing = [f"{name}:{line}: {mod}.{attr}" for line, mod, attr, ok in found if not ok]
     assert not missing, f"names the benchmark imports are gone: {missing}"
+
+
+def test_checked_in_p8_inputs_load_and_refit_to_the_model():
+    # workloads.check_p8_inputs makes this comparison; a model rule the inputs break fails here first
+    inputs = SPANS.parent / "inputs" / "eval-pca-p8"
+    model = load_model(inputs / "p8_model.pca")
+    _, rows = read_matrix(inputs / "p8_matrix.csv")
+    refit = fit(ParameterMatrix(rows))
+    assert refit.p == model.p == 8
+    assert np.array_equal(refit.mean, model.mean)
+    assert np.array_equal(refit.components, model.components)
+    assert np.array_equal(refit.eigenvalues, model.eigenvalues)

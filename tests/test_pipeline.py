@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qaoa_pca import pipeline
 from qaoa_pca.engine import ParameterVector, approximation_ratio, objective
 from qaoa_pca.graphs import Graph, graph_id, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
@@ -53,6 +54,16 @@ def test_stable_hash_is_stable_and_sensitive():
 def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(p=3)
+
+
+def test_evaluate_standard_takes_the_training_depths(monkeypatch):
+    # both full-parameter stages run train_graph, so both take the depths of TrainingConfig
+    calls = []
+    monkeypatch.setattr(pipeline, "train_graph", lambda *args: calls.append(args))
+    k2 = [unit_weights(Graph(2, frozenset({(0, 1)})))]
+    with pytest.raises(ValueError, match=r"p must be one of \(1, 2, 4, 8\), got 3"):
+        evaluate_standard(3, k2)
+    assert calls == []  # refused before any graph is computed
 
 
 def test_eval_config_validation():

@@ -67,7 +67,10 @@ def test_records_malformed_row(tmp_path):
 
 @pytest.mark.parametrize(
     "column, value",
-    [("layers", "x"), ("param_count", "2.5"), ("evals", ""), ("approx_ratio", "abc"), ("method", "qaoa")],
+    [
+        ("layers", "x"), ("param_count", "2.5"), ("evals", ""), ("approx_ratio", "abc"), ("method", "qaoa"),
+        ("approx_ratio", "nan"), ("approx_ratio", "inf"),
+    ],
 )
 def test_records_bad_value_names_the_file_and_row(tmp_path, column, value):
     row = dict(zip(RECORDS_FIELDS, ["n04k000000000007", "standard", "1", "2", "9", "0.5"]))
@@ -121,6 +124,16 @@ def test_matrix_bad_value_names_the_file_and_row(tmp_path):
     with pytest.raises(RecordFormatError) as exc:
         read_matrix(path)
     assert str(exc.value).startswith(f"{path}: bad row ['Y', '0.5', 'abc']")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_matrix_non_finite_value_names_the_file_and_row(tmp_path, value):
+    # float() takes these, so the file has to refuse them itself
+    path = tmp_path / "m.csv"
+    path.write_text(f"graph_id,gamma_1,beta_1\nX,0.5,0.25\nY,{value},0.5\n")
+    with pytest.raises(RecordFormatError) as exc:
+        read_matrix(path)
+    assert str(exc.value).startswith(f"{path}: bad row ['Y', '{value}', '0.5']")
 
 
 def test_comparison_round_trip(tmp_path):

@@ -39,10 +39,8 @@ def test_sample_validation():
 def test_all_equal_is_degenerate():
     s = PairedSample((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
     res = wilcoxon_signed_rank(s)
-    assert res.degenerate
     assert res.p_value == 1.0
     assert res.rbc == 0.0
-    assert res.n_effective == 0
 
 
 def test_constant_shift_ten_pairs():
@@ -51,7 +49,6 @@ def test_constant_shift_ten_pairs():
     res = wilcoxon_signed_rank(PairedSample(a, b))
     assert res.rbc == 1.0
     assert res.p_value == 2.0 / 2**10  # every pattern but all-plus is strictly below
-    assert res.n_effective == 10
 
 
 def test_hand_worked_six_pair_case():
@@ -59,7 +56,6 @@ def test_hand_worked_six_pair_case():
     a = (1.0, 0.0, 3.0, 0.0, 5.0, 0.0)
     b = (0.0, 2.0, 0.0, 4.0, 0.0, 6.0)
     res = wilcoxon_signed_rank(PairedSample(a, b))
-    assert res.w_statistic == 9.0
     assert res.p_value == exact_p_by_enumeration(np.array(a) - np.array(b))
     assert res.rbc == pytest.approx((9 - 12) / 21)
 
@@ -100,7 +96,6 @@ def test_antisymmetry():
         rev = wilcoxon_signed_rank(PairedSample(b, a))
         assert fwd.p_value == rev.p_value
         assert fwd.rbc == -rev.rbc
-        assert fwd.w_statistic == rev.w_statistic
 
 
 def test_exact_and_normal_branches_agree_near_cutoff():
