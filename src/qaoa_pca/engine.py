@@ -1,4 +1,4 @@
-"""Exact statevector simulation of alternating-layer circuits over a diagonal cost operator.
+"""Exact statevector simulation of alternating-layer circuits over a MaxCut cost diagonal.
 
 A p-layer circuit on n qubits starts from the uniform superposition and applies,
 per layer i, the diagonal phase exp(-i * gamma_i * E(b)) followed by the
@@ -7,23 +7,42 @@ as a butterfly on each amplitude pair (x, y) differing only in bit q:
 
     (x, y) -> (cos(beta) * x - i sin(beta) * y,  cos(beta) * y - i sin(beta) * x)
 
-Viewed as a (2^n / 2^(q+1), 2, 2^q) array, the state holds each pair along the
-middle axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's
-partner in its place. So one qubit's butterfly is three calls over the whole
-state: a = c * v, b = s * swapped, v = a - b. Every amplitude gets the same two
-complex products and the same subtraction, in the same operand order, as a
-per-half update (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) would give it, so
-the statevector is the same bit for bit. A layer costs 5 + 3n numpy calls.
+Half the state is redundant. A cut does not change when every bit flips, so a
+MaxCut diagonal has diag[x] == diag[~x], where ~x = 2^n - 1 - x. The uniform
+start, the phase and the mixer all keep that symmetry, and amplitude ~x gets
+the same products, in the same order, of the same operands as amplitude x; so
+psi[x] == psi[~x] bit for bit (Shaydulin, Hadfield, Hogg & Safro, "Classical
+symmetries and the Quantum Approximate Optimization Algorithm", Quantum Inf.
+Process. 20, 359, 2021). The engine therefore evolves only the 2^(n-1)
+amplitudes whose top bit is 0, and refuses, with ValueError, a diagonal whose
+bytes change under the reversal diag[::-1] (one compare per call).
 
-The state, phase and scratch buffers and the per-qubit views are built once
-per state size and cached by 2^n (at most `MAX_VERTICES` sizes, some 32 KB up
-to 2^8 amplitudes; the least recently used size goes first), so an
-evaluation allocates nothing per layer or per qubit.
-`objective` evaluates in those buffers; `evolve` returns a copy of the
-final state, so the caller owns what it gets. Because the buffers are
-shared, the module is not thread-safe: evaluate from one thread per process.
+Qubit q < n-1 pairs amplitudes within that half. Viewed as a
+(2^(n-1) / 2^(q+1), 2, 2^q) array, the half holds each pair along the middle
+axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's partner in
+its place. The top qubit's partner of x is ~x with its top bit cleared,
+2^(n-1) - 1 - x, so its swapped view is the reversal psi[::-1]. Either way
+one qubit's butterfly is three calls: a = c * psi, b = s * swapped,
+psi = a - b. Every amplitude gets the same two complex products and the same
+subtraction, in the same operand order, as a per-half update
+(lo, hi) -> (c * lo - s * hi, c * hi - s * lo) of the full state would give it,
+so the state is the same bit for bit. A layer costs 5 + 3n numpy calls on
+2^(n-1) amplitudes.
 
-Cost is O(p * n * 2^n) amplitude updates; no gate matrices are materialized.
+`objective` squares the half into the first half of a full-length
+probability buffer, mirrors it into the second, and takes prob @ diag over all
+2^n entries in index order, so the sum, and its bits, are those of
+`expectation` on the full state. `evolve` returns the full state as a new
+array, the half followed by its reversal.
+
+The half-size state, phase and scratch buffers, the full-size probability
+buffer and the per-qubit views are built once per state size and cached by
+2^n (at most `MAX_VERTICES` sizes; the least recently used size goes first),
+so an evaluation allocates nothing per layer or per qubit. Because the
+buffers are shared, the module is not thread-safe: evaluate from one thread
+per process.
+
+Cost is O(p * n * 2^(n-1)) amplitude updates; no gate matrices are materialized.
 """
 
 from __future__ import annotations
@@ -73,40 +92,47 @@ def _qubit_count(size: int) -> int:
 
 @lru_cache(maxsize=MAX_VERTICES)
 def _buffers_for(size: int) -> tuple:
-    """(initial amplitude, psi, phase, [(view, swapped, a, b)] per qubit) for a state of `size` amplitudes."""
+    """(initial amplitude, psi, phase, a, b, prob, [(swapped, b view)] per qubit) for `size` amplitudes.
+
+    psi, phase and the scratch a and b hold the half state; prob holds all `size` probabilities.
+    """
     n = _qubit_count(size)
-    psi = np.empty(size, dtype=np.complex128)
-    a = np.empty(size, dtype=np.complex128)
-    b = np.empty(size, dtype=np.complex128)
+    half = size >> 1
+    psi, phase, a, b = (np.empty(half, dtype=np.complex128) for _ in range(4))
     butterflies = []
-    for q in range(n):
-        shape = (size >> (q + 1), 2, 1 << q)
-        v = psi.reshape(shape)
-        butterflies.append((v, v[:, ::-1, :], a.reshape(shape), b.reshape(shape)))
-    return 1.0 / np.sqrt(size), psi, np.empty(size, dtype=np.complex128), butterflies
+    for q in range(n - 1):
+        shape = (half >> (q + 1), 2, 1 << q)
+        butterflies.append((psi.reshape(shape)[:, ::-1, :], b.reshape(shape)))
+    butterflies.append((psi[::-1], b))  # the top qubit: x's partner is ~x, stored at half - 1 - x
+    return 1.0 / np.sqrt(size), psi, phase, a, b, np.empty(size, dtype=np.float64), butterflies
 
 
-def _evolve_in_place(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
-    """The final statevector in the shared buffer of diag's size, valid until the next call."""
-    amp0, psi, phase, butterflies = _buffers_for(diag.size)
+def _evolve_half(diag: np.ndarray, params: ParameterVector) -> tuple[np.ndarray, np.ndarray]:
+    """(the amplitudes whose top bit is 0, the probability buffer), both shared per size and valid until the next call."""
+    amp0, psi, phase, a, b, prob, butterflies = _buffers_for(diag.size)
+    # compared as bytes, since a -0.0 facing a 0.0 would already give other bits than the full state
+    if diag.tobytes() != diag[::-1].tobytes():
+        raise ValueError("the diagonal must be unchanged by flipping every bit: diag[x] == diag[size - 1 - x]")
+    low = diag[: psi.size]
     psi.fill(amp0)
     angles = params.as_array().tolist()
     for gamma, beta in zip(angles[: params.p], angles[params.p :]):
-        np.multiply(-1j * gamma, diag, out=phase)
-        np.exp(phase, out=phase)
+        np.multiply(-1j * gamma, low, phase)
+        np.exp(phase, phase)
         psi *= phase
         c = np.cos(beta)
         s = 1j * np.sin(beta)
-        for v, swapped, av, bv in butterflies:
-            np.multiply(c, v, out=av)
-            np.multiply(s, swapped, out=bv)
-            np.subtract(av, bv, out=v)
-    return psi
+        for swapped, bv in butterflies:
+            np.multiply(c, psi, a)
+            np.multiply(s, swapped, bv)
+            np.subtract(a, b, psi)
+    return psi, prob
 
 
 def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
-    """Final statevector of the p-layer circuit for the given energy diagonal (a new array)."""
-    return _evolve_in_place(np.asarray(diag, dtype=np.float64), params).copy()
+    """Final statevector of the p-layer circuit for the given bit-symmetric energy diagonal (a new array)."""
+    half, _ = _evolve_half(np.asarray(diag, dtype=np.float64), params)
+    return np.concatenate((half, half[::-1]))
 
 
 def expectation(sv: np.ndarray, diag: np.ndarray) -> float:
@@ -127,6 +153,12 @@ def approximation_ratio(energy: float, cmin: float) -> float:
 
 
 def objective(diag: np.ndarray, params: ParameterVector) -> float:
-    """The scalar the optimizer minimizes: expectation of the evolved statevector."""
+    """The scalar the optimizer minimizes: `expectation` of the evolved statevector, with the same bits."""
     diag = np.asarray(diag, dtype=np.float64)
-    return expectation(_evolve_in_place(diag, params), diag)
+    half, prob = _evolve_half(diag, params)
+    low, high = prob[: half.size], prob[half.size :]
+    np.multiply(half.real, half.real, low)
+    np.multiply(half.imag, half.imag, high)
+    np.add(low, high, low)
+    np.copyto(high, low[::-1])
+    return float(prob @ diag)

@@ -67,8 +67,8 @@ class CoefficientVector:
 class PCAModel:
     """Mean vector plus all 2p orthonormal components, sorted by decreasing variance.
 
-    degenerate is set when the training rows were all identical, i.e. every
-    eigenvalue is zero; such a model still expands (to its mean).
+    degenerate is set exactly when every eigenvalue is zero, i.e. the training
+    rows were all identical; such a model still expands (to its mean).
     """
 
     p: int
@@ -91,6 +91,8 @@ class PCAModel:
             raise ValueError("mean, components and eigenvalues must be finite")
         if np.any(eig < 0) or np.any(np.diff(eig) > 0):
             raise ValueError("eigenvalues must be nonnegative and nonincreasing")
+        if self.degenerate != (not np.any(eig > 0)):
+            raise ValueError(f"degenerate={self.degenerate} contradicts the largest eigenvalue {eig[0]!r}")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", eig)

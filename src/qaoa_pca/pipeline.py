@@ -265,6 +265,8 @@ def run_training(
     cfg: TrainingConfig, graphs: list[WeightedGraph], checkpoint_path=None, workers: int = 1
 ) -> tuple[list[str], ParameterMatrix, list[RunRecord]]:
     """Train every graph at depth cfg.p; rows keep the graph-set order."""
+    if not graphs:
+        raise ValueError("the graph set is empty: there is nothing to train")
     done = _run_stage(graphs, train_graph, (cfg.p, cfg.optimizer), checkpoint_path, workers)
     rows = np.array([rec.best_params for rec in done.values()], dtype=np.float64)
     return list(done), ParameterMatrix(rows), list(done.values())

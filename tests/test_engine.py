@@ -286,6 +286,21 @@ def test_writing_into_evolve_result_does_not_change_the_next_call():
     assert objective(diag, pv) == expectation(kept, diag)
 
 
+def test_a_diagonal_that_bit_flips_change_is_refused():
+    # the engine evolves half the state, which is exact only when diag[x] == diag[~x] in every bit
+    diag = cost_diagonal(unit_weights(Graph(3, frozenset({(0, 1), (1, 2)}))))
+    pv = ParameterVector.from_array([0.4, 0.9])
+    objective(diag, pv)
+    for x, value in ((0, -0.5), (5, 0.0), (7, 0.0)):  # one entry moved; diag[0] and diag[7] are -0.0
+        bad = diag.copy()
+        bad[x] = value
+        for call in (objective, evolve):
+            with pytest.raises(ValueError, match="flipping every bit"):
+                call(bad, pv)
+    with pytest.raises(ValueError, match="flipping every bit"):
+        objective(np.array([0.0, -1.0]), pv)
+
+
 def test_interleaved_sizes_and_depths_equal_reference_bit_for_bit():
     # calls that switch state size and depth at random reuse the per-size buffers; two sizes
     # beyond 8 qubits make the buffer cache drop its least recently used sizes and rebuild them
@@ -296,7 +311,8 @@ def test_interleaved_sizes_and_depths_equal_reference_bit_for_bit():
             wg = random_weighted_graph(n, rng) if p % 2 else unit_weights(random_weighted_graph(n, rng).graph)
             cases.append((cost_diagonal(wg), ParameterVector.from_array(rng.uniform(-3 * np.pi, 3 * np.pi, 2 * p))))
     for n in (9, 10):
-        cases.append((rng.uniform(-5.0, 0.0, 1 << n), ParameterVector.from_array(rng.uniform(-np.pi, np.pi, 4))))
+        half = rng.uniform(-5.0, 0.0, 1 << (n - 1))  # mirrored, as every MaxCut diagonal is
+        cases.append((np.concatenate((half, half[::-1])), ParameterVector.from_array(rng.uniform(-np.pi, np.pi, 4))))
     want = [reference_evolve(diag, pv) for diag, pv in cases]
     for _ in range(3):
         for i in rng.permutation(len(cases)):
@@ -312,6 +328,7 @@ def test_objective_is_expectation_of_evolve_exactly():
     rng = np.random.default_rng(31)
     for n in range(1, 9):
         for p in (1, 2, 4, 8):
-            diag = cost_diagonal(random_weighted_graph(n, rng)) if n > 1 else np.array([0.0, -1.0])
+            wg = random_weighted_graph(n, rng) if n > 1 else unit_weights(Graph(1, frozenset()))
+            diag = cost_diagonal(wg)
             pv = ParameterVector.from_array(rng.uniform(-2 * np.pi, 2 * np.pi, 2 * p))
             assert objective(diag, pv) == expectation(evolve(diag, pv), diag)

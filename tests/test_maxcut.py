@@ -89,6 +89,20 @@ def test_cost_diagonal_matches_cut_values():
             assert diag[bits] == pytest.approx(-cut_value(wg, Assignment(n, bits)), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, MAX_VERTICES + 1))
+def test_cost_diagonal_is_bit_symmetric(n):
+    # flipping every bit keeps every cut, and the engine evolves half the state on that:
+    # diag[x] and diag[~x] = diag[2^n - 1 - x] must agree in every bit, the sign of zero included
+    rng = np.random.default_rng(n)
+    all_edges = list(itertools.combinations(range(n), 2))
+    for trial in range(8):
+        picked = frozenset(e for e in all_edges if rng.random() < 0.5)
+        g = Graph(n, picked)
+        wg = unit_weights(g) if trial % 2 else assign_random_weights(g, seed=int(rng.integers(1 << 30)))
+        diag = cost_diagonal(wg)
+        assert diag.tobytes() == diag[::-1].tobytes()
+
+
 def test_brute_force_cmin_triangle():
     cmin, best = brute_force_cmin(triangle())
     assert cmin == -2.0

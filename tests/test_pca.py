@@ -247,3 +247,19 @@ def test_model_file_fields_are_not_coerced(tmp_path, field, value):
     with pytest.raises(ModelFormatError, match=f"model.pca: field '{field}'"):
         load_model(path)
 
+
+
+@pytest.mark.parametrize("identical_rows", [False, True])
+def test_model_file_degenerate_flag_must_match_the_eigenvalues(tmp_path, identical_rows):
+    # a flag edited to true on positive eigenvalues would start every restart at the mean
+    import json
+
+    X = ParameterMatrix(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1))) if identical_rows else random_matrix(10, 2, seed=16)
+    path = tmp_path / "model.pca"
+    save_model(path, fit(X))
+    payload = json.loads(path.read_text())
+    assert payload["degenerate"] is identical_rows
+    payload["degenerate"] = not identical_rows
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="model.pca: degenerate="):
+        load_model(path)

@@ -1,9 +1,12 @@
-"""Smoke test of tools/per_eval_cost.py: one interleaved round of this tree against itself."""
+"""tools/per_eval_cost.py: one interleaved round of this tree against itself, and its refusal of an engine that differs."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +30,22 @@ def test_per_eval_cost_runs_one_round():
     assert sorted(cells) == sorted(f"n={n},p={p}" for n in range(4, 9) for p in (1, 2, 4, 8))
     assert all(c["base"] > 0 and c["head"] > 0 for c in cells.values())
     assert "COBYLA + minimize" in out.stderr
+
+
+@pytest.mark.parametrize("name", ["objective", "evolve"])
+def test_per_eval_cost_refuses_a_tree_whose_engine_differs(tmp_path, name):
+    # a base tree whose engine moves one result by a rounding step must stop the script before it times anything
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "qaoa_pca", src / "qaoa_pca", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "qaoa_pca" / "engine.py", "a", encoding="utf-8") as fh:
+        fh.write(f"\n_exact = {name}\n\n\ndef {name}(diag, params):\n    return _exact(diag, params) * (1 + 2**-52)\n")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "per_eval_cost.py"), "--base", str(src), "--reps", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode != 0
+    assert f"n=4, p=1: {name} gives" in out.stderr
+    assert out.stdout == ""

@@ -106,6 +106,11 @@ def test_run_training_shapes_and_energy_bound():
         assert rec.evals <= FAST_OPT.max_evals
 
 
+def test_run_training_refuses_an_empty_graph_set():
+    with pytest.raises(ValueError, match="graph set is empty"):
+        run_training(small_training_cfg(), [])
+
+
 def test_run_training_deterministic():
     a = run_training(small_training_cfg(), small_training_set())
     b = run_training(small_training_cfg(), small_training_set())

@@ -14,7 +14,9 @@ both run side by side on the same numpy. Two costs are measured:
   call f at the recorded points and return the same `OptResult` on every
   start, or the script stops.
 - `engine.objective`, in µs per call, for n = 4..8 and p = 1, 2, 4, 8, on a
-  weighted cycle with chords.
+  weighted cycle with chords. Before timing, both trees must give the same
+  `objective` value and the same `evolve` statevector (`np.array_equal`) at
+  every (n, p), or the script stops.
 
 The head tree is this checkout's `src`; `--base` names the other. Round r
 times the base tree first when r is even and the head tree first when it is
@@ -136,6 +138,17 @@ def objective_cases(tree: dict) -> dict:
     return cases
 
 
+def check_engines(trees: dict, cases: dict) -> None:
+    """Both trees' objective values and statevectors agree at every timed (n, p)."""
+    for n, p in cases["head"]:
+        got = {label: tree["engine"].objective(*cases[label][n, p]) for label, tree in trees.items()}
+        if got["base"] != got["head"]:
+            raise SystemExit(f"n={n}, p={p}: objective gives {got['base']!r} on base, {got['head']!r} on head")
+        states = [tree["engine"].evolve(*cases[label][n, p]) for label, tree in trees.items()]
+        if not np.array_equal(*states):
+            raise SystemExit(f"n={n}, p={p}: evolve gives other amplitudes on base than on head")
+
+
 def time_objective(tree: dict, diag, theta) -> float:
     objective = tree["engine"].objective
     t0 = clock()
@@ -168,6 +181,7 @@ def main(argv=None) -> int:
     for label, tree in trees.items():
         check_replay(tree, label, runs)
     cases = {label: objective_cases(tree) for label, tree in trees.items()}
+    check_engines(trees, cases)
 
     minimize_us = {"base": [], "head": []}
     objective_us = {case: {"base": [], "head": []} for case in cases["head"]}
