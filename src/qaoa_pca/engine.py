@@ -36,8 +36,9 @@ probability buffer, mirrors it into the second, and takes prob @ diag over all
 array, the half followed by its reversal.
 
 The half-size state, phase and scratch buffers, the full-size probability
-buffer and the per-qubit views are built once per state size and cached by
-2^n (at most `MAX_VERTICES` sizes; the least recently used size goes first),
+buffer, the per-qubit views and 0-d arrays for each layer's scalars (a ufunc
+takes those with less overhead than a float) are built once per state size
+(`_Buffers`) and cached by 2^n (at most `MAX_VERTICES` sizes; the least recently used size goes first),
 so an evaluation allocates nothing per layer or per qubit. Because the
 buffers are shared, the module is not thread-safe: evaluate from one thread
 per process.
@@ -90,48 +91,74 @@ def _qubit_count(size: int) -> int:
     return n
 
 
-@lru_cache(maxsize=MAX_VERTICES)
-def _buffers_for(size: int) -> tuple:
-    """(initial amplitude, psi, phase, a, b, prob, [(swapped, b view)] per qubit) for `size` amplitudes.
+class _Buffers:
+    """Every array and view that one evaluation of a `size`-amplitude state writes.
 
-    psi, phase and the scratch a and b hold the half state; prob holds all `size` probabilities.
+    psi, phase and the scratch a and b hold the half state. g, c and s hold a
+    layer's scalars -i gamma, cos(beta) and i sin(beta) as 0-d complex arrays,
+    which a ufunc takes with less overhead than a Python or numpy scalar, and
+    with the same value. butterflies holds (swapped view of psi, b in its
+    shape) per qubit. squares holds the squared parts of the half, interleaved
+    (re2 and im2 view them), and prob all `size` probabilities: low, the
+    half's, then high, their mirror image.
     """
-    n = _qubit_count(size)
-    half = size >> 1
-    psi, phase, a, b = (np.empty(half, dtype=np.complex128) for _ in range(4))
-    butterflies = []
-    for q in range(n - 1):
-        shape = (half >> (q + 1), 2, 1 << q)
-        butterflies.append((psi.reshape(shape)[:, ::-1, :], b.reshape(shape)))
-    butterflies.append((psi[::-1], b))  # the top qubit: x's partner is ~x, stored at half - 1 - x
-    return 1.0 / np.sqrt(size), psi, phase, a, b, np.empty(size, dtype=np.float64), butterflies
+
+    __slots__ = (
+        "amp0", "psi", "phase", "a", "b", "g", "c", "s", "butterflies",
+        "parts", "squares", "re2", "im2", "prob", "low", "high", "mirror",
+    )
+
+    def __init__(self, size: int):
+        n = _qubit_count(size)
+        half = size >> 1
+        self.amp0 = 1.0 / np.sqrt(size)
+        self.psi, self.phase, self.a, self.b = (np.empty(half, dtype=np.complex128) for _ in range(4))
+        self.g, self.c, self.s = (np.empty((), dtype=np.complex128) for _ in range(3))
+        self.butterflies = []
+        for q in range(n - 1):
+            shape = (half >> (q + 1), 2, 1 << q)
+            self.butterflies.append((self.psi.reshape(shape)[:, ::-1, :], self.b.reshape(shape)))
+        self.butterflies.append((self.psi[::-1], self.b))  # the top qubit: x's partner ~x is stored at half - 1 - x
+        self.parts = self.psi.view(np.float64)  # re_0, im_0, re_1, im_1, ...
+        self.squares = np.empty(size, dtype=np.float64)
+        self.re2, self.im2 = self.squares[0::2], self.squares[1::2]
+        self.prob = np.empty(size, dtype=np.float64)
+        self.low, self.high = self.prob[:half], self.prob[half:]
+        self.mirror = self.low[::-1]
 
 
-def _evolve_half(diag: np.ndarray, params: ParameterVector) -> tuple[np.ndarray, np.ndarray]:
-    """(the amplitudes whose top bit is 0, the probability buffer), both shared per size and valid until the next call."""
-    amp0, psi, phase, a, b, prob, butterflies = _buffers_for(diag.size)
+@lru_cache(maxsize=MAX_VERTICES)
+def _buffers_for(size: int) -> _Buffers:
+    return _Buffers(size)
+
+
+def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
+    """The buffers of diag's size, their psi holding the amplitudes whose top bit is 0; valid until the next call."""
+    buf = _buffers_for(diag.size)
     # compared as bytes, since a -0.0 facing a 0.0 would already give other bits than the full state
     if diag.tobytes() != diag[::-1].tobytes():
         raise ValueError("the diagonal must be unchanged by flipping every bit: diag[x] == diag[size - 1 - x]")
+    psi, phase, a, b, g, c, s = buf.psi, buf.phase, buf.a, buf.b, buf.g, buf.c, buf.s
     low = diag[: psi.size]
-    psi.fill(amp0)
+    psi.fill(buf.amp0)
     angles = params.as_array().tolist()
     for gamma, beta in zip(angles[: params.p], angles[params.p :]):
-        np.multiply(-1j * gamma, low, phase)
+        g[()] = -1j * gamma
+        np.multiply(g, low, phase)
         np.exp(phase, phase)
-        psi *= phase
-        c = np.cos(beta)
-        s = 1j * np.sin(beta)
-        for swapped, bv in butterflies:
+        np.multiply(psi, phase, psi)
+        c[()] = np.cos(beta)
+        s[()] = 1j * np.sin(beta)
+        for swapped, bv in buf.butterflies:
             np.multiply(c, psi, a)
             np.multiply(s, swapped, bv)
             np.subtract(a, b, psi)
-    return psi, prob
+    return buf
 
 
 def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
     """Final statevector of the p-layer circuit for the given bit-symmetric energy diagonal (a new array)."""
-    half, _ = _evolve_half(np.asarray(diag, dtype=np.float64), params)
+    half = _evolve_half(np.asarray(diag, dtype=np.float64), params).psi
     return np.concatenate((half, half[::-1]))
 
 
@@ -155,10 +182,9 @@ def approximation_ratio(energy: float, cmin: float) -> float:
 def objective(diag: np.ndarray, params: ParameterVector) -> float:
     """The scalar the optimizer minimizes: `expectation` of the evolved statevector, with the same bits."""
     diag = np.asarray(diag, dtype=np.float64)
-    half, prob = _evolve_half(diag, params)
-    low, high = prob[: half.size], prob[half.size :]
-    np.multiply(half.real, half.real, low)
-    np.multiply(half.imag, half.imag, high)
-    np.add(low, high, low)
-    np.copyto(high, low[::-1])
-    return float(prob @ diag)
+    buf = _evolve_half(diag, params)
+    # re * re + im * im per amplitude, as `expectation` computes it; then the mirror image for the top half
+    np.multiply(buf.parts, buf.parts, buf.squares)
+    np.add(buf.re2, buf.im2, buf.low)
+    np.copyto(buf.high, buf.mirror)
+    return float(buf.prob @ diag)
