@@ -20,8 +20,9 @@ bytes change under the reversal diag[::-1] (one compare per call).
 Qubit q < n-1 pairs amplitudes within that half. Viewed as a
 (2^(n-1) / 2^(q+1), 2, 2^q) array, the half holds each pair along the middle
 axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's partner in
-its place. The top qubit's partner of x is ~x with its top bit cleared,
-2^(n-1) - 1 - x, so its swapped view is the reversal psi[::-1]. Either way
+its place. The top qubit pairs x with x + 2^(n-1), whose amplitude is that
+of its complement 2^(n-1) - 1 - x, so its swapped view is the reversal
+psi[::-1]. Either way
 one qubit's butterfly is three calls: a = c * psi, b = s * swapped,
 psi = a - b. Every amplitude gets the same two complex products and the same
 subtraction, in the same operand order, as a per-half update
@@ -38,8 +39,9 @@ array, the half followed by its reversal.
 The half-size state, phase and scratch buffers, the full-size probability
 buffer, the per-qubit views and 0-d arrays for each layer's scalars (a ufunc
 takes those with less overhead than a float) are built once per state size
-(`_Buffers`) and cached by 2^n (at most `MAX_VERTICES` sizes; the least recently used size goes first),
-so an evaluation allocates nothing per layer or per qubit. Because the
+(`_Buffers`) and cached by 2^n (at most `MAX_VERTICES` sizes; the least
+recently used size goes first), so an evaluation allocates nothing per layer
+or per qubit. Because the
 buffers are shared, the module is not thread-safe: evaluate from one thread
 per process.
 
@@ -118,7 +120,7 @@ class _Buffers:
         for q in range(n - 1):
             shape = (half >> (q + 1), 2, 1 << q)
             self.butterflies.append((self.psi.reshape(shape)[:, ::-1, :], self.b.reshape(shape)))
-        self.butterflies.append((self.psi[::-1], self.b))  # the top qubit: x's partner ~x is stored at half - 1 - x
+        self.butterflies.append((self.psi[::-1], self.b))  # the top qubit: x's partner has the amplitude at half - 1 - x
         self.parts = self.psi.view(np.float64)  # re_0, im_0, re_1, im_1, ...
         self.squares = np.empty(size, dtype=np.float64)
         self.re2, self.im2 = self.squares[0::2], self.squares[1::2]
