@@ -1,8 +1,10 @@
 """Command-line front end for the pipeline stages.
 
 Exit codes: 0 on success, 1 for validation problems (bad flags, malformed or
-missing inputs, config bounds), 2 for unexpected runtime failures. Every run
-logs its config hash and seed to stderr so artifacts can be traced.
+missing inputs, config bounds), 2 for unexpected runtime failures. Artifacts
+hold no wall-clock time, so a rerun with the same arguments and inputs writes
+the same bytes; every run logs its config hash, seed and UTC time to stderr so
+artifacts can be traced.
 """
 
 from __future__ import annotations
@@ -69,23 +71,13 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
-def _timestamp(args) -> str | None:
-    if args.no_timestamp:
-        return None
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _provenance(args) -> dict:
     # results depend on numpy's arithmetic, so its version travels with them
-    out = {"config": _args_hash(args), "seed": args.seed, "numpy": np.__version__}
-    ts = _timestamp(args)
-    if ts:
-        out["generated"] = ts
-    return out
+    return {"config": _args_hash(args), "seed": args.seed, "numpy": np.__version__}
 
 
-# the handler, scheduling and output paths: none of them changes a result
-_UNHASHED_FLAGS = ("func", "workers", "checkpoint", "out", "records")
+# the handler, scheduling, output paths and the no-op --no-timestamp: none of them changes a result
+_UNHASHED_FLAGS = ("func", "workers", "checkpoint", "out", "records", "no_timestamp")
 # input files enter the hash by content, so the same run in another directory hashes alike
 _INPUT_FILE_FLAGS = ("graphs", "matrix", "model", "pca", "baseline")
 
@@ -102,7 +94,8 @@ def _args_hash(args) -> str:
 
 
 def _log_run(args) -> None:
-    print(f"{args.command}: config {_args_hash(args)} seed {args.seed}", file=sys.stderr)
+    when = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    print(f"{args.command}: config {_args_hash(args)} seed {args.seed} at {when}", file=sys.stderr)
 
 
 def _cmd_gen_graphs(args) -> int:
@@ -113,7 +106,7 @@ def _cmd_gen_graphs(args) -> int:
         graphs = build_eval_set(lo, args.count, args.seed, weighted=args.weighted)
     else:
         graphs = build_graph_set(lo, hi, args.weighted, args.seed)
-    save_graph_set(args.out, graphs, timestamp=_timestamp(args))
+    save_graph_set(args.out, graphs)
     _log_run(args)
     print(f"wrote {len(graphs)} graphs to {args.out}", file=sys.stderr)
     return 0
@@ -125,7 +118,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{args.graphs}: no graphs to train on")
     cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
     ids, matrix, records = run_training(cfg, graphs, checkpoint_path=args.checkpoint, workers=args.workers)
-    provenance = _provenance(args)  # once, so both files carry the same lines
+    provenance = _provenance(args)
     write_matrix(args.out, ids, matrix.rows, provenance=provenance)
     if args.records:
         write_records(args.records, records, provenance=provenance)
@@ -203,7 +196,7 @@ def _cmd_report(args) -> int:
             )
         )
         write_scatter(out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params)
-    write_text_atomic(args.out, render_report(rows, timestamp=_timestamp(args)))
+    write_text_atomic(args.out, render_report(rows))
     _log_run(args)
     print(f"report with {len(rows)} configurations written to {args.out}", file=sys.stderr)
     return 0
@@ -219,11 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel worker processes (default: core count)",
     )
     common.add_argument("--out", required=True, help="output file path")
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamps so reruns are byte-identical",
-    )
+    # accepted for older scripts; artifacts hold no clock time, so it does nothing
+    common.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="qaoa-pca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -237,11 +237,9 @@ def assign_random_weights(g: Graph, seed: int) -> WeightedGraph:
     return WeightedGraph(g, {e: float(w) for e, w in zip(g.sorted_edges(), draws)})
 
 
-def save_graph_set(path, graphs: list[WeightedGraph], timestamp: str | None = None) -> None:
+def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
     """Write a graph set as line-oriented text; see `load_graph_set` for the format."""
     lines = [GRAPH_SET_HEADER]
-    if timestamp:
-        lines.append(f"# generated {timestamp}")
     for wg in graphs:
         lines.append("")
         lines.append(f"{wg.graph.n} {wg.graph.m}")

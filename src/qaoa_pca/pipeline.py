@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -99,8 +100,9 @@ class Checkpoint:
 
     `keys` maps each graph id to the key its record must carry to be reused.
     Lines under any other key, lines that are not a JSON object with a
-    string graph id, and records with a field missing or malformed are
-    preserved and ignored, so their graphs are recomputed; a truncated final
+    string graph id, and records with a field missing, malformed or not of
+    the JSON type `add` writes (an int count, a finite float ratio or angle)
+    are preserved and ignored, so their graphs are recomputed; a truncated final
     line (cut-off run) is skipped on load, and the first `add` ends it with a
     newline so the new record starts a line of its own.
     """
@@ -126,12 +128,24 @@ class Checkpoint:
             key = keys.get(gid)
             if key is None or obj.get("config") != key:
                 continue
+            ratio, params = obj.get("approx_ratio"), obj.get("best_params")
+            if not (
+                type(obj.get("method")) is str
+                and type(obj.get("layers")) is int
+                and type(obj.get("param_count")) is int
+                and type(obj.get("evals")) is int
+                and type(ratio) is float
+                and math.isfinite(ratio)
+                and type(params) is list
+                and all(type(x) is float and math.isfinite(x) for x in params)
+            ):
+                continue  # a field missing, or not of the JSON type `add` writes
             try:
                 self.done[gid] = RunRecord(
                     gid, obj["method"], obj["layers"], obj["param_count"],
-                    obj["evals"], obj["approx_ratio"], tuple(obj["best_params"]),
+                    obj["evals"], ratio, tuple(params),
                 )
-            except (KeyError, TypeError, ValueError):  # a field missing or malformed
+            except ValueError:  # an unknown method, or not 2p angles
                 pass
         self._fh = None
 
@@ -386,7 +400,7 @@ REPORT_COLUMNS = [
 ]
 
 
-def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]], timestamp: str | None = None) -> str:
+def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]]) -> str:
     """Markdown comparison table: one line per configuration, both baselines.
 
     Each pair holds the two `compare` rows of one PCA record list, so the
@@ -397,8 +411,6 @@ def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]], timestamp: st
         return format(x, ".4g")
 
     lines = ["# Reduced-parameter QAOA comparison", ""]
-    if timestamp:
-        lines += [f"Generated {timestamp}", ""]
     lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(REPORT_COLUMNS)) + "|")
     for same_layers, same_params in rows:

@@ -40,17 +40,9 @@ class TestResult:
 
 def _doubled_ranks(absd: np.ndarray) -> np.ndarray:
     """Average ranks of absd, times two (integral even with ties)."""
-    order = np.argsort(absd, kind="stable")
-    s = absd[order]
-    out = np.empty(len(s), dtype=np.int64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        out[order[i : j + 1]] = (i + 1) + (j + 1)  # lo + hi of the 1-based tie span
-        i = j + 1
-    return out
+    _, inverse, counts = np.unique(absd, return_inverse=True, return_counts=True)
+    # a tie span of c values ending at 1-based rank hi starts at hi - c + 1: its doubled rank is 2 * hi - c + 1
+    return (2 * np.cumsum(counts) - counts + 1)[inverse]
 
 
 def _exact_two_tailed(d2ranks: np.ndarray, w2: int) -> float:

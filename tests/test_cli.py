@@ -112,8 +112,8 @@ def test_train_rerun_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_train_stamps_matrix_and_records_alike_across_a_clock_tick(tmp_path, monkeypatch):
-    # a clock that moves on one second per reading: both files must carry the same `# generated`
+def test_reruns_across_a_clock_tick_are_byte_identical_and_log_the_time(tmp_path, monkeypatch, capsys):
+    # a clock that moves on one second per reading: no artifact may change, the stderr line carries the time
     ticks = itertools.count()
 
     class TickingClock(datetime):
@@ -121,18 +121,21 @@ def test_train_stamps_matrix_and_records_alike_across_a_clock_tick(tmp_path, mon
         def now(cls, tz=None):
             return datetime(2026, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
 
-    graphs = tmp_path / "g.graphs"
-    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
-    matrix, records = tmp_path / "m.csv", tmp_path / "r.csv"
     monkeypatch.setattr(cli, "datetime", TickingClock)
-    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "20", "--out", matrix,
-               "--records", records, "--workers", "1") == 0
-
-    def header(path):
-        return [line for line in path.read_text().splitlines() if line.startswith("#")]
-
-    assert any(line.startswith("# generated ") for line in header(matrix))
-    assert header(matrix) == header(records)
+    runs = []
+    for name in ("a", "b"):
+        d = tmp_path / name
+        d.mkdir()
+        graphs, matrix, records = d / "g.graphs", d / "m.csv", d / "r.csv"
+        assert run("gen-graphs", "--n", "3", "--out", graphs) == 0
+        assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "20", "--out", matrix,
+                   "--records", records, "--workers", "1") == 0
+        runs.append([f.read_bytes() for f in (graphs, matrix, records)])
+    assert runs[0] == runs[1]
+    logged = [line for line in capsys.readouterr().err.splitlines() if ": config " in line]
+    assert [line.split(" at ")[1] for line in logged] == [
+        f"2026-01-01T00:00:0{s}+00:00" for s in range(4)
+    ]
 
 
 def test_train_takes_a_one_graph_set_and_fit_pca_refuses_its_matrix(tmp_path, capsys):
@@ -355,8 +358,11 @@ def test_config_digest_is_pinned(tmp_path):
              "--out", str(tmp_path / "m.csv"), "--no-timestamp"]
     standard = ["evaluate", "--graphs", str(graphs), "--standard", "--p", "1",
                 "--out", str(tmp_path / "r.csv"), "--workers", "1"]
-    assert _args_hash(build_parser().parse_args(train)) == "d90a772cb4ab"
-    assert _args_hash(build_parser().parse_args(standard)) == "9bc6881b8c62"
+    assert _args_hash(build_parser().parse_args(train)) == "88ec1a9a3b58"
+    assert _args_hash(build_parser().parse_args(standard)) == "7bd96e06549a"
+    # --no-timestamp does nothing, so it leaves the digest alone
+    assert _args_hash(build_parser().parse_args(train[:-1])) == "88ec1a9a3b58"
+    assert _args_hash(build_parser().parse_args(standard + ["--no-timestamp"])) == "7bd96e06549a"
 
 
 def test_exit_codes_on_bad_usage(tmp_path, capsys):

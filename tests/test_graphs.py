@@ -193,11 +193,10 @@ def test_graph_set_empty_round_trip(tmp_path):
     assert load_graph_set(path) == []
 
 
-def test_graph_set_timestamp_line(tmp_path):
+def test_graph_set_with_a_generated_line_still_loads(tmp_path):
+    # graph sets written by earlier versions carry a `# generated` comment after the header
     path = tmp_path / "set.graphs"
-    save_graph_set(path, [unit_weights(path_graph(2))], timestamp="2026-01-01T00:00:00")
-    text = path.read_text()
-    assert "# generated 2026-01-01T00:00:00" in text
+    path.write_text("# graph-set v1\n# generated 2026-01-01T00:00:00+00:00\n\n2 1\n0 1 1.0\n")
     assert load_graph_set(path) == [unit_weights(path_graph(2))]
 
 

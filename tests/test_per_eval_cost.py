@@ -1,6 +1,7 @@
 """tools/per_eval_cost.py: one interleaved round of this tree against itself, and its refusal of an engine that differs."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,15 +12,27 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_per_eval_cost_runs_one_round():
+def listing(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_per_eval_cost_runs_one_round(tmp_path):
+    # run a copy of the tool, its perfbench/ and src/, with bytecode writing on: the copied perfbench/ must not change
+    shutil.copytree(ROOT / "tools", tmp_path / "tools", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    before = listing(tmp_path / "perfbench")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "per_eval_cost.py"), "--reps", "1"],
-        cwd=ROOT,
+        [sys.executable, str(tmp_path / "tools" / "per_eval_cost.py"), "--reps", "1"],
+        cwd=tmp_path,
+        env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
     )
+    assert listing(tmp_path / "perfbench") == before
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["nproc"] >= 1 and result["python"] and result["numpy"]
     assert result["reps"] == 1

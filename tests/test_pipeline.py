@@ -196,8 +196,24 @@ def test_checkpoint_skips_json_lines_that_are_not_records(tmp_path):
         lambda obj: obj.pop("layers"),
         lambda obj: obj["best_params"].append(0.0),  # 2p + 1 angles
         lambda obj: obj.update(best_params=None),
+        # fields whose JSON type `Checkpoint.add` never writes
+        lambda obj: obj.update(method=None),
+        lambda obj: obj.update(layers=float(obj["layers"])),
+        lambda obj: obj.update(layers=True),
+        lambda obj: obj.update(param_count=float(obj["param_count"])),
+        lambda obj: obj.update(evals=float(obj["evals"])),
+        lambda obj: obj.update(approx_ratio=float("nan")),
+        lambda obj: obj.update(approx_ratio=float("inf")),
+        lambda obj: obj.update(approx_ratio=1),
+        lambda obj: obj.update(approx_ratio=str(obj["approx_ratio"])),
+        lambda obj: obj["best_params"].__setitem__(0, float("nan")),
+        lambda obj: obj["best_params"].__setitem__(0, 0),
     ],
-    ids=["missing-field", "extra-angle", "angles-not-a-list"],
+    ids=[
+        "missing-field", "extra-angle", "angles-not-a-list", "method-not-a-string",
+        "layers-float", "layers-bool", "param-count-float", "evals-float", "ratio-nan",
+        "ratio-inf", "ratio-int", "ratio-string", "angle-nan", "angle-int",
+    ],
 )
 def test_checkpoint_recomputes_a_record_it_cannot_rebuild(tmp_path, corrupt):
     # a line under the right key whose record does not build is skipped like a torn line

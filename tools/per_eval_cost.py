@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # perfbench/ is only read: no __pycache__ there
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import GEN_SEED, TRAIN_PER_N  # noqa: E402  (imports no qaoa_pca at module level)
 
