@@ -71,11 +71,6 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
-def _provenance(args) -> dict:
-    # results depend on numpy's arithmetic, so its version travels with them
-    return {"config": _args_hash(args), "seed": args.seed, "numpy": np.__version__}
-
-
 # the handler, scheduling, output paths and the no-op --no-timestamp: none of them changes a result
 _UNHASHED_FLAGS = ("func", "workers", "checkpoint", "out", "records", "no_timestamp")
 # input files enter the hash by content, so the same run in another directory hashes alike
@@ -93,12 +88,7 @@ def _args_hash(args) -> str:
     return hashlib.sha256(repr(tuple(sorted(items))).encode("utf-8")).hexdigest()[:12]
 
 
-def _log_run(args) -> None:
-    when = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    print(f"{args.command}: config {_args_hash(args)} seed {args.seed} at {when}", file=sys.stderr)
-
-
-def _cmd_gen_graphs(args) -> int:
+def _cmd_gen_graphs(args, provenance: dict) -> str:
     lo, hi = _parse_vertex_range(args.n)
     if args.count is not None:
         if lo != hi:
@@ -107,37 +97,35 @@ def _cmd_gen_graphs(args) -> int:
     else:
         graphs = build_graph_set(lo, hi, args.weighted, args.seed)
     save_graph_set(args.out, graphs)
-    _log_run(args)
-    print(f"wrote {len(graphs)} graphs to {args.out}", file=sys.stderr)
-    return 0
+    return f"wrote {len(graphs)} graphs to {args.out}"
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, provenance: dict) -> str:
     graphs = load_graph_set(args.graphs)
     if not graphs:
         raise ValueError(f"{args.graphs}: no graphs to train on")
     cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
     ids, matrix, records = run_training(cfg, graphs, checkpoint_path=args.checkpoint, workers=args.workers)
-    provenance = _provenance(args)
     write_matrix(args.out, ids, matrix.rows, provenance=provenance)
     if args.records:
         write_records(args.records, records, provenance=provenance)
-    _log_run(args)
-    print(f"trained {len(ids)} graphs at p={args.p}, matrix to {args.out}", file=sys.stderr)
-    return 0
+    return f"trained {len(ids)} graphs at p={args.p}, matrix to {args.out}"
 
 
-def _cmd_fit_pca(args) -> int:
+def _cmd_fit_pca(args, provenance: dict) -> str:
     _, rows = read_matrix(args.matrix)
     model = fit(ParameterMatrix(rows))
     save_model(args.out, model)
-    _log_run(args)
     note = " (degenerate: zero variance)" if model.degenerate else ""
-    print(f"fit {model.n_components}-component model at p={model.p}{note}", file=sys.stderr)
-    return 0
+    return f"fit {model.n_components}-component model at p={model.p}{note}"
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, provenance: dict) -> str:
+    # a flag of the other mode would change only the config hash
+    for name in ("model", "components", "matrix") if args.standard else ("p",):
+        if getattr(args, name) is not None:
+            mode = "--standard" if args.standard else "without --standard"
+            raise ValueError(f"evaluate {mode} does not take --{name}")
     eval_set = load_graph_set(args.graphs)
     if not eval_set:
         raise ValueError(f"{args.graphs}: no graphs to evaluate")
@@ -161,27 +149,22 @@ def _cmd_evaluate(args) -> int:
             checkpoint_path=args.checkpoint,
             workers=args.workers,
         )
-    write_records(args.out, records, provenance=_provenance(args))
-    _log_run(args)
-    print(f"evaluated {len(records)} graphs, records to {args.out}", file=sys.stderr)
-    return 0
+    write_records(args.out, records, provenance=provenance)
+    return f"evaluated {len(records)} graphs, records to {args.out}"
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, provenance: dict) -> str:
     pca = read_records(args.pca)
     baseline = read_records(args.baseline)
     row = compare(pca, baseline, args.kind, training_set=args.training_set)
     write_comparison(args.out, row)
-    _log_run(args)
-    print(
+    return (
         f"compared {row.n_pairs} pairs against {args.kind}:"
-        f" p_evals={row.p_value_evals:.4g} p_ratio={row.p_value_ratio:.4g}",
-        file=sys.stderr,
+        f" p_evals={row.p_value_evals:.4g} p_ratio={row.p_value_ratio:.4g}"
     )
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, provenance: dict) -> str:
     records_dir = Path(args.records_dir)
     out_dir = Path(args.out).parent
     rows = []
@@ -197,9 +180,7 @@ def _cmd_report(args) -> int:
         )
         write_scatter(out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params)
     write_text_atomic(args.out, render_report(rows))
-    _log_run(args)
-    print(f"report with {len(rows)} configurations written to {args.out}", file=sys.stderr)
-    return 0
+    return f"report with {len(rows)} configurations written to {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,7 +250,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage (exit code 1 here)
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        # the hash reads every input file, so a missing one fails before any work;
+        # results depend on numpy's arithmetic, so its version travels with them
+        config = _args_hash(args)
+        summary = args.func(args, {"config": config, "seed": args.seed, "numpy": np.__version__})
+        when = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        print(f"{args.command}: config {config} seed {args.seed} at {when}", file=sys.stderr)
+        print(summary, file=sys.stderr)
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,9 +32,9 @@ so the state is the same bit for bit. A layer costs 5 + 3n numpy calls on
 
 `objective` squares the half into the first half of a full-length
 probability buffer, mirrors it into the second, and takes prob @ diag over all
-2^n entries in index order, so the sum, and its bits, are those of
-`expectation` on the full state. `evolve` returns the full state as a new
-array, the half followed by its reversal.
+2^n entries in index order, so the sum, and its bits, are those of the
+full-state expectation sum_b |psi_b|^2 * E(b) computed the same way. `evolve`
+returns the full state as a new array, the half followed by its reversal.
 
 The half-size state, phase and scratch buffers, the full-size probability
 buffer, the per-qubit views and 0-d arrays for each layer's scalars (a ufunc
@@ -164,16 +164,6 @@ def evolve(diag: np.ndarray, params: ParameterVector) -> np.ndarray:
     return np.concatenate((half, half[::-1]))
 
 
-def expectation(sv: np.ndarray, diag: np.ndarray) -> float:
-    """Energy expectation sum_b |amplitude_b|^2 * E(b); real by construction."""
-    sv = np.asarray(sv)
-    diag = np.asarray(diag, dtype=np.float64)
-    if sv.shape != diag.shape:
-        raise ValueError(f"statevector shape {sv.shape} != diagonal shape {diag.shape}")
-    prob = sv.real * sv.real + sv.imag * sv.imag
-    return float(prob @ diag)
-
-
 def approximation_ratio(energy: float, cmin: float) -> float:
     """energy / cmin; lies in [0, 1] for positive-weight graphs, 1 means optimal."""
     if not cmin < 0:
@@ -182,10 +172,10 @@ def approximation_ratio(energy: float, cmin: float) -> float:
 
 
 def objective(diag: np.ndarray, params: ParameterVector) -> float:
-    """The scalar the optimizer minimizes: `expectation` of the evolved statevector, with the same bits."""
+    """The scalar the optimizer minimizes: the energy expectation of the evolved statevector."""
     diag = np.asarray(diag, dtype=np.float64)
     buf = _evolve_half(diag, params)
-    # re * re + im * im per amplitude, as `expectation` computes it; then the mirror image for the top half
+    # re * re + im * im per amplitude, then the mirror image for the top half
     np.multiply(buf.parts, buf.parts, buf.squares)
     np.add(buf.re2, buf.im2, buf.low)
     np.copyto(buf.high, buf.mirror)

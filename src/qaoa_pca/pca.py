@@ -132,22 +132,6 @@ def expand(model: PCAModel, coeffs: np.ndarray) -> ParameterVector:
     return ParameterVector.from_array(model.mean + coeffs @ model.components[: len(coeffs)])
 
 
-def project(model: PCAModel, theta: ParameterVector, k: int) -> np.ndarray:
-    """Coefficients of theta - mean along the first k components.
-
-    expand(project(theta, k)) is the orthogonal projection of theta onto the
-    affine span of the mean and the first k components. These spans are nested,
-    so the Euclidean residual of each row is nonincreasing in k and zero at full
-    rank. The largest single-angle error is not guaranteed to fall with k.
-    """
-    if not (1 <= k <= model.n_components):
-        raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
-    flat = theta.as_array()
-    if flat.shape != model.mean.shape:
-        raise ValueError(f"parameter vector has 2p={flat.size}, model expects {model.mean.size}")
-    return model.components[:k] @ (flat - model.mean)
-
-
 def sample_coefficients(
     model: PCAModel, k: int, training_X: ParameterMatrix, seed: int
 ) -> CoefficientVector:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -100,11 +99,10 @@ class Checkpoint:
 
     `keys` maps each graph id to the key its record must carry to be reused.
     Lines under any other key, lines that are not a JSON object with a
-    string graph id, and records with a field missing, malformed or not of
-    the JSON type `add` writes (an int count, a finite float ratio or angle)
-    are preserved and ignored, so their graphs are recomputed; a truncated final
-    line (cut-off run) is skipped on load, and the first `add` ends it with a
-    newline so the new record starts a line of its own.
+    string graph id, and records with a field missing or refused by
+    `RunRecord` are preserved and ignored, so their graphs are recomputed;
+    a truncated final line (cut-off run) is skipped on load, and the first
+    `add` ends it with a newline so the new record starts a line of its own.
     """
 
     def __init__(self, path, keys: dict[str, str]):
@@ -128,24 +126,12 @@ class Checkpoint:
             key = keys.get(gid)
             if key is None or obj.get("config") != key:
                 continue
-            ratio, params = obj.get("approx_ratio"), obj.get("best_params")
-            if not (
-                type(obj.get("method")) is str
-                and type(obj.get("layers")) is int
-                and type(obj.get("param_count")) is int
-                and type(obj.get("evals")) is int
-                and type(ratio) is float
-                and math.isfinite(ratio)
-                and type(params) is list
-                and all(type(x) is float and math.isfinite(x) for x in params)
-            ):
-                continue  # a field missing, or not of the JSON type `add` writes
             try:
                 self.done[gid] = RunRecord(
                     gid, obj["method"], obj["layers"], obj["param_count"],
-                    obj["evals"], ratio, tuple(params),
+                    obj["evals"], obj["approx_ratio"], tuple(obj["best_params"]),
                 )
-            except ValueError:  # an unknown method, or not 2p angles
+            except (KeyError, TypeError, ValueError):  # a field missing, or a record `add` does not write
                 pass
         self._fh = None
 
@@ -340,6 +326,14 @@ def compare(
             f"{x} vs {y}" for x, y in zip(a_ids, b_ids) if x != y
         ]
         raise ValueError(f"record lists not aligned by graph_id: {', '.join(offending[:20])}")
+    shapes = sorted({(r.layers, r.param_count) for r in pca_records})
+    if len(shapes) != 1:
+        raise ValueError(f"PCA records mix (layers, param_count) {shapes}")
+    [(layers, param_count)] = shapes
+    name, want = ("layers", layers) if baseline_kind == "same_layers" else ("param_count", param_count)
+    got = sorted({getattr(r, name) for r in baseline_records} - {want})
+    if got:
+        raise ValueError(f"{baseline_kind} needs baseline {name} {want}, got {got}")
     evals = PairedSample(
         tuple(float(r.evals) for r in pca_records),
         tuple(float(r.evals) for r in baseline_records),
@@ -352,8 +346,8 @@ def compare(
     test_ratio = wilcoxon_signed_rank(ratio)
     return ComparisonRow(
         training_set=training_set,
-        layers=pca_records[0].layers,
-        param_count=pca_records[0].param_count,
+        layers=layers,
+        param_count=param_count,
         baseline_kind=baseline_kind,
         n_pairs=len(pca_records),
         median_evals=median([r.evals for r in pca_records]),
@@ -379,61 +373,39 @@ def scatter_filename(training_set: str, p: int, k: int) -> str:
     return f"scatter_{training_set}_p{p}_k{k}.csv"
 
 
-REPORT_COLUMNS = [
-    "Training Set",
-    "# Layers",
-    "# Param.",
-    "Iter. Med.",
-    "Iter. Med. (Same # Layers)",
-    "Iter. P-Val. (Same # Layers)",
-    "Iter. RBC (Same # Layers)",
-    "Iter. Med. (Same # Param.)",
-    "Iter. P-Val. (Same # Param.)",
-    "Iter. RBC (Same # Param.)",
-    "Ratio Med.",
-    "Ratio Med. (Same # Layers)",
-    "Ratio P-Val. (Same # Layers)",
-    "Ratio RBC (Same # Layers)",
-    "Ratio Med. (Same # Param.)",
-    "Ratio P-Val. (Same # Param.)",
-    "Ratio RBC (Same # Param.)",
-]
+# (header, 0 for the same_layers comparison or 1 for same_params, ComparisonRow field) of each column
+REPORT_COLUMNS = (
+    ("Training Set", 0, "training_set"),
+    ("# Layers", 0, "layers"),
+    ("# Param.", 0, "param_count"),
+    ("Iter. Med.", 0, "median_evals"),
+    ("Iter. Med. (Same # Layers)", 0, "median_evals_baseline"),
+    ("Iter. P-Val. (Same # Layers)", 0, "p_value_evals"),
+    ("Iter. RBC (Same # Layers)", 0, "rbc_evals"),
+    ("Iter. Med. (Same # Param.)", 1, "median_evals_baseline"),
+    ("Iter. P-Val. (Same # Param.)", 1, "p_value_evals"),
+    ("Iter. RBC (Same # Param.)", 1, "rbc_evals"),
+    ("Ratio Med.", 0, "median_ratio"),
+    ("Ratio Med. (Same # Layers)", 0, "median_ratio_baseline"),
+    ("Ratio P-Val. (Same # Layers)", 0, "p_value_ratio"),
+    ("Ratio RBC (Same # Layers)", 0, "rbc_ratio"),
+    ("Ratio Med. (Same # Param.)", 1, "median_ratio_baseline"),
+    ("Ratio P-Val. (Same # Param.)", 1, "p_value_ratio"),
+    ("Ratio RBC (Same # Param.)", 1, "rbc_ratio"),
+)
 
 
 def render_report(rows: list[tuple[ComparisonRow, ComparisonRow]]) -> str:
     """Markdown comparison table: one line per configuration, both baselines.
 
-    Each pair holds the two `compare` rows of one PCA record list, so the
-    configuration's own columns are read from the first.
+    Each pair holds the same_layers and same_params `compare` rows of one PCA record list.
     """
-
-    def num(x: float) -> str:
-        return format(x, ".4g")
-
     lines = ["# Reduced-parameter QAOA comparison", ""]
-    lines.append("| " + " | ".join(REPORT_COLUMNS) + " |")
+    lines.append("| " + " | ".join(header for header, _, _ in REPORT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(REPORT_COLUMNS)) + "|")
-    for same_layers, same_params in rows:
-        cells = [
-            same_layers.training_set,
-            str(same_layers.layers),
-            str(same_layers.param_count),
-            num(same_layers.median_evals),
-            num(same_layers.median_evals_baseline),
-            num(same_layers.p_value_evals),
-            num(same_layers.rbc_evals),
-            num(same_params.median_evals_baseline),
-            num(same_params.p_value_evals),
-            num(same_params.rbc_evals),
-            num(same_layers.median_ratio),
-            num(same_layers.median_ratio_baseline),
-            num(same_layers.p_value_ratio),
-            num(same_layers.rbc_ratio),
-            num(same_params.median_ratio_baseline),
-            num(same_params.p_value_ratio),
-            num(same_params.rbc_ratio),
-        ]
+    for pair in rows:
+        values = (getattr(pair[side], name) for _, side, name in REPORT_COLUMNS)
+        cells = [format(v, ".4g") if isinstance(v, float) else str(v) for v in values]
         lines.append("| " + " | ".join(cells) + " |")
     lines.append("")
     return "\n".join(lines)
-

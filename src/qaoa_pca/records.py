@@ -30,7 +30,7 @@ class RecordFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of optimizing one graph with one method."""
+    """Outcome of optimizing one graph with one method; its checks are the schema of every stored record."""
 
     graph_id: str
     method: str
@@ -43,10 +43,18 @@ class RunRecord:
     def __post_init__(self):
         if self.method not in (METHOD_STANDARD, METHOD_PCA):
             raise ValueError(f"method must be 'standard' or 'pca', got {self.method!r}")
+        # the exact JSON types `Checkpoint.add` writes: a count is no bool or float
+        for name in ("layers", "param_count", "evals"):
+            count = getattr(self, name)
+            if type(count) is not int or count < 1:
+                raise ValueError(f"{name} must be an int of at least 1, got {count!r}")
         if len(self.best_params) != 2 * self.layers:
             raise ValueError(
                 f"best_params must hold 2p={2 * self.layers} angles, got {len(self.best_params)}"
             )
+        if not all(type(x) is float and math.isfinite(x) for x in (self.approx_ratio, *self.best_params)):
+            raise ValueError(f"approx_ratio and best_params must be finite floats, got {self.approx_ratio!r}"
+                             f" and {self.best_params!r}")
 
 
 @dataclass(frozen=True)
@@ -140,11 +148,11 @@ def read_records(path) -> list[RunRecord]:
                     layers=layers,
                     param_count=int(row[3]),
                     evals=int(row[4]),
-                    approx_ratio=_finite(row[5]),
+                    approx_ratio=float(row[5]),
                     best_params=(0.0,) * (2 * layers),
                 )
             )
-        except ValueError as exc:  # a number that does not parse or is not finite, or an unknown method
+        except ValueError as exc:  # a number that does not parse, or a value `RunRecord` refuses
             raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
     return records
 

@@ -14,7 +14,7 @@ import scipy.stats
 from scipy.linalg import expm
 
 from qaoa_pca.cli import main as cli_main
-from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, expectation, objective
+from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, objective
 from qaoa_pca.graphs import (
     Graph,
     _enumerate_cached,
@@ -25,7 +25,7 @@ from qaoa_pca.graphs import (
 )
 from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.optimizer import train_graph
-from qaoa_pca.pca import ParameterMatrix, expand, fit, project
+from qaoa_pca.pca import ParameterMatrix, expand, fit
 from qaoa_pca.pipeline import (
     EvalConfig,
     TrainingConfig,
@@ -37,6 +37,8 @@ from qaoa_pca.pipeline import (
     run_training,
 )
 from qaoa_pca.stats import PairedSample, median, wilcoxon_signed_rank
+
+from oracles import project
 
 
 def announce(num, text):

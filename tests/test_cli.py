@@ -160,6 +160,40 @@ def test_evaluate_standard_takes_only_the_training_depths(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_evaluate_fails_on_a_missing_input_before_computing_a_graph(tmp_path, capsys):
+    # the config hash reads every named input file, so a missing one stops the run before its first graph
+    graphs, ckpt, out = tmp_path / "g.graphs", tmp_path / "s.ckpt", tmp_path / "s.csv"
+    assert run("gen-graphs", "--n", "4", "--out", graphs) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--graphs", graphs, "--standard", "--p", "1", "--model", tmp_path / "missing.pca",
+               "--checkpoint", ckpt, "--out", out, "--workers", "1") == 1
+    assert "missing.pca" in capsys.readouterr().err
+    assert not ckpt.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, extra",
+    [
+        ("--model", ["--standard", "--p", "1", "--model", "{model}"]),
+        ("--components", ["--standard", "--p", "1", "--components", "2"]),
+        ("--matrix", ["--standard", "--p", "1", "--matrix", "{matrix}"]),
+        ("--p", ["--model", "{model}", "--components", "2", "--matrix", "{matrix}", "--p", "2"]),
+    ],
+)
+def test_evaluate_refuses_the_other_mode_s_flags(tmp_path, capsys, flag, extra):
+    graphs, matrix, model = tmp_path / "g.graphs", tmp_path / "m.csv", tmp_path / "model.pca"
+    graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
+    matrix.write_text("graph_id,gamma_1,gamma_2,beta_1,beta_2\n"
+                      "a,0.1,0.5,0.3,0.2\nb,0.3,0.2,0.6,0.1\nc,0.6,0.4,0.2,0.3\n")
+    assert run("fit-pca", "--matrix", matrix, "--out", model) == 0
+    capsys.readouterr()
+    ckpt, out = tmp_path / "r.ckpt", tmp_path / "r.csv"
+    argv = [a.format(model=model, matrix=matrix) for a in extra]
+    assert run("evaluate", "--graphs", graphs, *argv, "--checkpoint", ckpt, "--out", out, "--workers", "1") == 1
+    assert f"does not take {flag}" in capsys.readouterr().err
+    assert not ckpt.exists() and not out.exists()
+
 @pytest.mark.parametrize("damage", ["nan mean", "nan component", "nan eigenvalue", "truncated"])
 def test_evaluate_refuses_a_model_that_is_not_a_finite_full_basis(tmp_path, capsys, damage):
     graphs = tmp_path / "g.graphs"
@@ -429,6 +463,18 @@ def test_compare_misaligned_exits_one(tmp_path, capsys):
                "--out", tmp_path / "c.json") == 1
     assert "not aligned" in capsys.readouterr().err
 
+
+
+def test_compare_refuses_a_baseline_its_kind_does_not_name(tmp_path, capsys):
+    # same_layers against a p=1 baseline would write a row that claims a depth-2 baseline
+    pca, std1 = tmp_path / "pca.csv", tmp_path / "std1.csv"
+    write_records(pca, [RunRecord("n05k000000000001", "pca", 2, 2, 5, 0.5, (0.0,) * 4)])
+    write_records(std1, [RunRecord("n05k000000000001", "standard", 1, 2, 9, 0.6, (0.0,) * 2)])
+    out = tmp_path / "c.json"
+    assert run("compare", "--pca", pca, "--baseline", std1, "--kind", "same_layers", "--out", out) == 1
+    assert "same_layers needs baseline layers 2, got [1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("compare", "--pca", pca, "--baseline", std1, "--kind", "same_params", "--out", out) == 0
 
 def synth_records(seed, method, layers, param_count, count=16):
     rng = np.random.default_rng(seed)

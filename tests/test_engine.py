@@ -11,11 +11,12 @@ from qaoa_pca.engine import (
     ParameterVector,
     approximation_ratio,
     evolve,
-    expectation,
     objective,
 )
 from qaoa_pca.graphs import Graph, assign_random_weights, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
+
+from oracles import expectation
 
 
 def random_weighted_graph(n, rng):

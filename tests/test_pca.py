@@ -9,10 +9,11 @@ from qaoa_pca.pca import (
     expand,
     fit,
     load_model,
-    project,
     sample_coefficients,
     save_model,
 )
+
+from oracles import project
 
 
 def random_matrix(rows, p, seed=0):

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 from qaoa_pca import optimizer
-from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, expectation
+from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve
 from qaoa_pca.graphs import graph_id
 from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.optimizer import OptimizerConfig, train_graph
 from qaoa_pca.pca import ParameterMatrix, fit, load_model
 from qaoa_pca.pipeline import Checkpoint, EvalConfig, TrainingConfig, build_graph_set, evaluate_pca, run_training
 from qaoa_pca.records import read_matrix
+
+from oracles import expectation
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -28,7 +28,7 @@ from qaoa_pca.pipeline import (
     run_training,
     stable_hash,
 )
-from qaoa_pca.records import RunRecord
+from qaoa_pca.records import ComparisonRow, RunRecord
 from qaoa_pca.stats import median
 
 FAST_OPT = OptimizerConfig(max_evals=120)
@@ -463,6 +463,23 @@ def test_compare_misaligned_lists_name_offenders():
         compare(pca, base * 2, "same_params")
 
 
+
+def test_compare_refuses_a_pairing_its_kind_does_not_name():
+    pca = [RunRecord(f"n05k{i:012x}", "pca", 2, 2, 10 + i, 0.9, (0.0,) * 4) for i in range(3)]
+
+    def standard(p):
+        return [RunRecord(f"n05k{i:012x}", "standard", p, 2 * p, 100 + i, 0.9, (0.0,) * (2 * p)) for i in range(3)]
+
+    assert compare(pca, standard(2), "same_layers").layers == 2
+    assert compare(pca, standard(1), "same_params").param_count == 2
+    with pytest.raises(ValueError, match=r"same_layers needs baseline layers 2, got \[1\]"):
+        compare(pca, standard(1), "same_layers")
+    with pytest.raises(ValueError, match=r"same_params needs baseline param_count 2, got \[4\]"):
+        compare(pca, standard(2), "same_params")
+    mixed = pca[:2] + [RunRecord(pca[2].graph_id, "pca", 4, 2, 10, 0.9, (0.0,) * 8)]
+    with pytest.raises(ValueError, match=r"PCA records mix \(layers, param_count\) \[\(2, 2\), \(4, 2\)\]"):
+        compare(mixed, standard(2), "same_layers")
+
 def test_report_configuration_matrix():
     cfgs = REPORT_CONFIGURATIONS
     assert len(cfgs) == 12
@@ -493,3 +510,34 @@ def test_render_report_structure():
     assert len(lines) == 2 + 12  # header + separator + data
     assert "Training Set" in lines[0] and "# Param." in lines[0]
     assert all(line.count("|") == lines[0].count("|") for line in lines)
+
+
+def test_render_report_text_is_pinned():
+    # every cell of two fixed configurations: strings and counts as written, the rest to 4 significant digits
+    def row(ts, layers, k, kind, scale):
+        return ComparisonRow(
+            training_set=ts, layers=layers, param_count=k, baseline_kind=kind, n_pairs=100,
+            median_evals=62.0 * scale, median_evals_baseline=497.5 * scale,
+            p_value_evals=1.1e-17 * scale, rbc_evals=-1.0 / scale, median_ratio=0.88123456 / scale,
+            median_ratio_baseline=0.90345678 / scale, p_value_ratio=3.4e-4 * scale, rbc_ratio=-0.41 / scale,
+        )
+
+    rows = [
+        (row("unweighted", 2, 2, "same_layers", 1.0), row("unweighted", 2, 2, "same_params", 3.0)),
+        (row("weighted", 8, 4, "same_layers", 7.0), row("weighted", 8, 4, "same_params", 123.0)),
+    ]
+    assert render_report(rows).split("\n") == [
+        "# Reduced-parameter QAOA comparison",
+        "",
+        "| Training Set | # Layers | # Param. | Iter. Med. | Iter. Med. (Same # Layers)"
+        " | Iter. P-Val. (Same # Layers) | Iter. RBC (Same # Layers) | Iter. Med. (Same # Param.)"
+        " | Iter. P-Val. (Same # Param.) | Iter. RBC (Same # Param.) | Ratio Med."
+        " | Ratio Med. (Same # Layers) | Ratio P-Val. (Same # Layers) | Ratio RBC (Same # Layers)"
+        " | Ratio Med. (Same # Param.) | Ratio P-Val. (Same # Param.) | Ratio RBC (Same # Param.) |",
+        "|" + " --- |" * 17,
+        "| unweighted | 2 | 2 | 62 | 497.5 | 1.1e-17 | -1 | 1492 | 3.3e-17 | -0.3333"
+        " | 0.8812 | 0.9035 | 0.00034 | -0.41 | 0.3012 | 0.00102 | -0.1367 |",
+        "| weighted | 8 | 4 | 434 | 3482 | 7.7e-17 | -0.1429 | 6.119e+04 | 1.353e-15 | -0.00813"
+        " | 0.1259 | 0.1291 | 0.00238 | -0.05857 | 0.007345 | 0.04182 | -0.003333 |",
+        "",
+    ]

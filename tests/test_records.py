@@ -34,6 +34,24 @@ def test_run_record_validation():
         RunRecord("x", "standard", 2, 4, 1, 0.5, (0.0,) * 3)  # needs 2p angles
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("layers", 0), ("param_count", 0), ("evals", 0), ("evals", -3),
+        ("layers", True), ("param_count", False), ("evals", True), ("evals", 9.0),
+        ("approx_ratio", 1), ("approx_ratio", float("nan")), ("approx_ratio", float("-inf")),
+        ("best_params", (0.0, 0.0, 0, 0.0)), ("best_params", (0.0, float("nan"), 0.0, 0.0)),
+    ],
+)
+def test_run_record_takes_only_the_types_a_checkpoint_writes(field, value):
+    # counts are ints of at least 1, the ratio and each angle a finite float
+    fields = dict(graph_id="x", method="standard", layers=2, param_count=4, evals=1, approx_ratio=0.5,
+                  best_params=(0.0,) * 4)
+    RunRecord(**fields)
+    with pytest.raises(ValueError, match=field):
+        RunRecord(**(fields | {field: value}))
+
+
 def test_records_round_trip(tmp_path):
     path = tmp_path / "records.csv"
     write_records(path, sample_records(), provenance={"config": "abc123", "seed": 7})
@@ -69,7 +87,7 @@ def test_records_malformed_row(tmp_path):
     "column, value",
     [
         ("layers", "x"), ("param_count", "2.5"), ("evals", ""), ("approx_ratio", "abc"), ("method", "qaoa"),
-        ("approx_ratio", "nan"), ("approx_ratio", "inf"),
+        ("approx_ratio", "nan"), ("approx_ratio", "inf"), ("layers", "0"), ("evals", "0"),
     ],
 )
 def test_records_bad_value_names_the_file_and_row(tmp_path, column, value):
