@@ -102,8 +102,6 @@ def _cmd_gen_graphs(args, provenance: dict) -> str:
 
 def _cmd_train(args, provenance: dict) -> str:
     graphs = load_graph_set(args.graphs)
-    if not graphs:
-        raise ValueError(f"{args.graphs}: no graphs to train on")
     cfg = TrainingConfig(p=args.p, optimizer=OptimizerConfig(max_evals=args.max_evals))
     ids, matrix, records = run_training(cfg, graphs, checkpoint_path=args.checkpoint, workers=args.workers)
     write_matrix(args.out, ids, matrix.rows, provenance=provenance)
@@ -127,8 +125,6 @@ def _cmd_evaluate(args, provenance: dict) -> str:
             mode = "--standard" if args.standard else "without --standard"
             raise ValueError(f"evaluate {mode} does not take --{name}")
     eval_set = load_graph_set(args.graphs)
-    if not eval_set:
-        raise ValueError(f"{args.graphs}: no graphs to evaluate")
     opt = OptimizerConfig(max_evals=args.max_evals)
     if args.standard:
         if args.p is None:
@@ -197,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="qaoa-pca", description=__doc__)
+    max_evals = dict(type=int, default=OptimizerConfig.max_evals, help="objective evaluation budget per start")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen-graphs", parents=[common], help="enumerate or sample graph sets")
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--p", type=int, required=True, choices=DEPTHS, help="circuit layers")
     p_train.add_argument("--records", default=None, help="also write per-run records CSV here")
     p_train.add_argument("--checkpoint", default=None, help="append-only resume file")
-    p_train.add_argument("--max-evals", type=int, default=1000, help="objective evaluation budget per start")
+    p_train.add_argument("--max-evals", **max_evals)
     p_train.set_defaults(func=_cmd_train)
 
     p_fit = sub.add_parser("fit-pca", parents=[common], help="fit the component model to a parameter matrix")
@@ -224,9 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", default=None, help="component model file (reduced mode)")
     p_eval.add_argument("--components", type=int, default=None, help="coefficients to optimize (reduced mode)")
     p_eval.add_argument("--matrix", default=None, help="training matrix CSV for initialization ranges")
-    p_eval.add_argument("--restarts", type=int, default=5, help="random starts per graph (reduced mode)")
+    p_eval.add_argument(
+        "--restarts", type=int, default=EvalConfig.restarts, help="random starts per graph (reduced mode)"
+    )
     p_eval.add_argument("--checkpoint", default=None, help="append-only resume file")
-    p_eval.add_argument("--max-evals", type=int, default=1000, help="objective evaluation budget per start")
+    p_eval.add_argument("--max-evals", **max_evals)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="paired signed-rank comparison of two record files")

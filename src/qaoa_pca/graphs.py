@@ -250,57 +250,38 @@ def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
 
 def load_graph_set(path) -> list[WeightedGraph]:
     """Parse a graph-set file: records of `n m` (m >= 1) then m lines `u v w`, blank-line
-    separated, `#` comments allowed. Raises GraphFormatError naming the offending line."""
+    separated, `#` comments allowed. Raises GraphFormatError naming the offending line;
+    a graph that `Graph` or `WeightedGraph` refuses is named by its `n m` line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-
-    graphs: list[WeightedGraph] = []
-    i = 0
+    # (line number, text) of each line that is neither blank nor a comment
+    body = ((no, text) for no, text in enumerate(raw, 1) if text.strip()[:1] not in ("", "#"))
 
     def fail(lineno: int, msg: str):
         raise GraphFormatError(f"{path}:{lineno}: {msg}")
 
-    while i < len(raw):
-        line = raw[i].strip()
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        header = line.split()
-        if len(header) != 2:
-            fail(i + 1, f"expected record header 'n m', got {raw[i]!r}")
+    graphs: list[WeightedGraph] = []
+    for header_no, text in body:
         try:
-            n, m = int(header[0]), int(header[1])
-        except ValueError:
-            fail(i + 1, f"expected integers in record header, got {raw[i]!r}")
+            n, m = map(int, text.split())
+        except ValueError:  # too few or too many fields, or one that is not an integer
+            fail(header_no, f"expected record header 'n m' of two integers, got {text!r}")
         if m < 1:
-            fail(i + 1, f"edge count must be at least 1, got {m}")
-        header_line = i + 1
-        i += 1
+            fail(header_no, f"edge count must be at least 1, got {m}")
         edges: dict[tuple[int, int], float] = {}
-        while len(edges) < m:
-            if i >= len(raw):
-                fail(len(raw), f"unexpected end of file: expected {m} edges, got {len(edges)}")
-            line = raw[i].strip()
-            if not line or line.startswith("#"):
-                i += 1
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                fail(i + 1, f"expected edge line 'u v w', got {raw[i]!r}")
+        for no, text in itertools.islice(body, m):  # takes the record's edge lines from body
             try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+                u, v, w = text.split()
+                u, v, w = int(u), int(v), float(w)
             except ValueError:
-                fail(i + 1, f"could not parse edge line {raw[i]!r}")
-            if not 0 <= u < v < n:
-                fail(i + 1, f"edge ({u}, {v}) is not a valid pair with u < v < n={n}")
+                fail(no, f"expected edge line 'u v w' of two integers and a number, got {text!r}")
             if (u, v) in edges:
-                fail(i + 1, f"duplicate edge ({u}, {v})")
-            if not (w > 0 and np.isfinite(w)):
-                fail(i + 1, f"edge weight must be a finite positive real, got {parts[2]}")
+                fail(no, f"duplicate edge ({u}, {v})")
             edges[(u, v)] = w
-            i += 1
+        if len(edges) < m:
+            fail(len(raw), f"unexpected end of file: expected {m} edges, got {len(edges)}")
         try:
             graphs.append(WeightedGraph(Graph(n, frozenset(edges)), edges))
-        except ValueError as exc:  # the vertex bound, checked by Graph
-            fail(header_line, str(exc))
+        except ValueError as exc:  # the vertex bound, pair and weight rules
+            fail(header_no, str(exc))
     return graphs

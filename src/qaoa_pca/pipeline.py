@@ -33,7 +33,7 @@ from .graphs import (
 from .optimizer import OptimizerConfig, optimize_graph, train_graph
 from .pca import ParameterMatrix, PCAModel, expand, sample_coefficients
 from .records import METHOD_PCA, ComparisonRow, RunRecord
-from .stats import PairedSample, median, wilcoxon_signed_rank
+from .stats import wilcoxon_signed_rank
 
 TRAINING_SETS = ("unweighted", "weighted")
 DEPTHS = (1, 2, 4, 8)  # the circuit depths of the full-parameter stages
@@ -180,7 +180,8 @@ def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
 
 
 def _map_tasks(fn, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))  # under fork a pool starts every worker at its first submit
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             yield from ex.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (8 * workers)))
     else:
@@ -189,15 +190,14 @@ def _map_tasks(fn, tasks, workers: int):
 
 
 def _encode(obj, out: list[bytes]) -> None:
-    """Append the value of obj to out, tagged by type and framed by length, so
-    that no two different values give the same bytes."""
+    """Append the value of obj to out, tagged by type and framed by length, so that no two
+    different values give the same bytes. A stage shares only ints, strs, bools, tuples,
+    numeric arrays and dataclasses of those: any other value (a float too) raises TypeError."""
     t = type(obj)  # exact types first: this runs for every value on every stage call
-    if t is float:
-        out.append(b"f" + struct.pack("<d", obj))
-    elif t is int or t is str or t is bool or obj is None:
+    if t is int or t is str or t is bool:
         data = str(obj).encode("utf-8")
         out.append(b"%s%d:%s" % (t.__name__.encode(), len(data), data))
-    elif t is tuple or t is list:
+    elif t is tuple:
         out.append(b"t%d:" % len(obj))
         for item in obj:
             _encode(item, out)
@@ -211,8 +211,6 @@ def _encode(obj, out: list[bytes]) -> None:
         for name in names:
             _encode(name, out)
             _encode(getattr(obj, name), out)
-    elif isinstance(obj, float):
-        _encode(float(obj), out)
     else:
         raise TypeError(f"cannot key a checkpoint on a {t.__name__}")
 
@@ -222,12 +220,14 @@ def _run_stage(
 ) -> dict[str, RunRecord]:
     """fn(wg, gid, *shared) on each graph; the records by graph id, in graph order.
 
-    Two isomorphic graphs would share an id, so they are rejected. Each record
-    reaches the checkpoint as soon as it arrives. A checkpointed record is
-    reused only under the key of what it was computed from: fn, the shared
-    arguments, the numpy version (the optimizer's trajectory depends on numpy's
-    arithmetic) and the weighted graph.
+    An empty set is rejected, and so are two isomorphic graphs, which would
+    share an id. Each record reaches the checkpoint as soon as it arrives. A
+    checkpointed record is reused only under the key of what it was computed
+    from: fn, the shared arguments, the numpy version (the optimizer's
+    trajectory depends on numpy's arithmetic) and the weighted graph.
     """
+    if not graphs:
+        raise ValueError("the graph set is empty: there is nothing to compute")
     ids = [graph_id(wg.graph) for wg in graphs]
     todo = dict(zip(ids, graphs))
     if len(todo) != len(ids):
@@ -265,8 +265,6 @@ def run_training(
     cfg: TrainingConfig, graphs: list[WeightedGraph], checkpoint_path=None, workers: int = 1
 ) -> tuple[list[str], ParameterMatrix, list[RunRecord]]:
     """Train every graph at depth cfg.p; rows keep the graph-set order."""
-    if not graphs:
-        raise ValueError("the graph set is empty: there is nothing to train")
     done = _run_stage(graphs, train_graph, (cfg.p, cfg.optimizer), checkpoint_path, workers)
     rows = np.array([rec.best_params for rec in done.values()], dtype=np.float64)
     return list(done), ParameterMatrix(rows), list(done.values())
@@ -334,28 +332,22 @@ def compare(
     got = sorted({getattr(r, name) for r in baseline_records} - {want})
     if got:
         raise ValueError(f"{baseline_kind} needs baseline {name} {want}, got {got}")
-    evals = PairedSample(
-        tuple(float(r.evals) for r in pca_records),
-        tuple(float(r.evals) for r in baseline_records),
-    )
-    ratio = PairedSample(
-        tuple(r.approx_ratio for r in pca_records),
-        tuple(r.approx_ratio for r in baseline_records),
-    )
-    test_evals = wilcoxon_signed_rank(evals)
-    test_ratio = wilcoxon_signed_rank(ratio)
+    evals = [r.evals for r in pca_records], [r.evals for r in baseline_records]
+    ratio = [r.approx_ratio for r in pca_records], [r.approx_ratio for r in baseline_records]
+    test_evals = wilcoxon_signed_rank(*evals)
+    test_ratio = wilcoxon_signed_rank(*ratio)
     return ComparisonRow(
         training_set=training_set,
         layers=layers,
         param_count=param_count,
         baseline_kind=baseline_kind,
         n_pairs=len(pca_records),
-        median_evals=median([r.evals for r in pca_records]),
-        median_evals_baseline=median([r.evals for r in baseline_records]),
+        median_evals=float(np.median(evals[0])),
+        median_evals_baseline=float(np.median(evals[1])),
         p_value_evals=test_evals.p_value,
         rbc_evals=test_evals.rbc,
-        median_ratio=median([r.approx_ratio for r in pca_records]),
-        median_ratio_baseline=median([r.approx_ratio for r in baseline_records]),
+        median_ratio=float(np.median(ratio[0])),
+        median_ratio_baseline=float(np.median(ratio[1])),
         p_value_ratio=test_ratio.p_value,
         rbc_ratio=test_ratio.rbc,
     )

@@ -81,7 +81,7 @@ def _fmt(x: float) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Replace the file at path with text in one step, so a crash leaves the old file or the new one.
+    """Replace the file at path with text in one step, so a killed process leaves the old file or the new one.
 
     The text goes to a temporary file beside the target, which `os.replace`
     then moves over it; the temporary file is removed if anything fails.

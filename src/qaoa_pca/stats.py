@@ -17,22 +17,6 @@ EXACT_LIMIT = 25
 
 
 @dataclass(frozen=True)
-class PairedSample:
-    """Two index-aligned metric vectors, one value per graph and method."""
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.a) != len(self.b):
-            raise ValueError(f"length mismatch: {len(self.a)} vs {len(self.b)}")
-        if len(self.a) < 1:
-            raise ValueError("need at least one pair")
-        if not all(math.isfinite(x) for x in self.a + self.b):
-            raise ValueError("sample contains non-finite values")
-
-
-@dataclass(frozen=True)
 class TestResult:
     p_value: float
     rbc: float  # rank-biserial (W+ - W-)/(W+ + W-); 0 when every pair ties
@@ -70,8 +54,11 @@ def _normal_two_tailed(d2ranks: np.ndarray, w: float) -> float:
     return min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
 
 
-def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
-    d = np.asarray(s.a, dtype=np.float64) - np.asarray(s.b, dtype=np.float64)
+def wilcoxon_signed_rank(a, b) -> TestResult:
+    """Test of the index-aligned pairs (a[i], b[i]); the caller checks that they are finite."""
+    if len(a) != len(b):  # numpy would broadcast a length-1 vector against the other
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     d = d[d != 0.0]
     n = int(d.size)
     if n == 0:
@@ -87,10 +74,3 @@ def wilcoxon_signed_rank(s: PairedSample) -> TestResult:
         p = _normal_two_tailed(ranks2, w2 / 2.0)
     rbc = (w2_plus - w2_minus) / (w2_plus + w2_minus)
     return TestResult(p, rbc)
-
-
-def median(v) -> float:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("median of empty vector")
-    return float(np.median(arr))

@@ -36,7 +36,7 @@ from qaoa_pca.pipeline import (
     evaluate_standard,
     run_training,
 )
-from qaoa_pca.stats import PairedSample, median, wilcoxon_signed_rank
+from qaoa_pca.stats import wilcoxon_signed_rank
 
 from oracles import project
 
@@ -188,14 +188,14 @@ def test_criterion_5_statistics_oracle():
         d = a - b
         if not np.any(d != 0):
             continue
-        res = wilcoxon_signed_rank(PairedSample(tuple(a), tuple(b)))
+        res = wilcoxon_signed_rank(tuple(a), tuple(b))
         assert res.p_value == oracle_p(d)  # exact branch must match enumeration exactly
         checked += 1
 
-    up = PairedSample((2.0, 3.0, 4.0), (1.0, 1.0, 1.0))
-    down = PairedSample((1.0, 1.0, 1.0), (2.0, 3.0, 4.0))
-    assert wilcoxon_signed_rank(up).rbc == 1.0
-    assert wilcoxon_signed_rank(down).rbc == -1.0
+    up = (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)
+    down = (1.0, 1.0, 1.0), (2.0, 3.0, 4.0)
+    assert wilcoxon_signed_rank(*up).rbc == 1.0
+    assert wilcoxon_signed_rank(*down).rbc == -1.0
     announce(5, f"{checked} exact-branch cases equal enumeration; rank-biserial endpoints are +/-1")
 
 
@@ -244,10 +244,8 @@ def test_criterion_7_ratio_parity_and_param_matched_win(desk_scale_run):
     same_params = compare(run["pca"], run["std_p1"], "same_params", training_set="unweighted")
     assert same_params.median_ratio > same_params.median_ratio_baseline
     ratio_rbc = wilcoxon_signed_rank(
-        PairedSample(
-            tuple(r.approx_ratio for r in run["pca"]),
-            tuple(r.approx_ratio for r in run["std_p1"]),
-        )
+        tuple(r.approx_ratio for r in run["pca"]),
+        tuple(r.approx_ratio for r in run["std_p1"]),
     ).rbc
     assert ratio_rbc > 0
     announce(

@@ -442,6 +442,17 @@ def test_train_rejects_an_edgeless_record_at_its_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_and_evaluate_refuse_an_empty_graph_set(tmp_path, capsys):
+    graphs = tmp_path / "none.graphs"
+    graphs.write_text("# graph-set v1\n")
+    out = tmp_path / "out.csv"
+    assert run("train", "--graphs", graphs, "--p", "1", "--out", out, "--workers", "1") == 1
+    assert "graph set is empty" in capsys.readouterr().err
+    assert run("evaluate", "--graphs", graphs, "--standard", "--p", "1", "--out", out, "--workers", "1") == 1
+    assert "graph set is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_provenance_names_the_numpy_version(tmp_path):
     # results depend on numpy's arithmetic, so matrix and records files say which numpy made them
     graphs = tmp_path / "g.graphs"

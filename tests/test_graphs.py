@@ -221,6 +221,23 @@ def test_graph_set_malformed_inputs(tmp_path, body):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ("3 1\n2 1 1.0\n", "edge (2, 1) is not a valid pair with u < v < n=3"),
+        ("2 1\n0 1 -0.5\n", "weight of edge (0, 1) must be a finite positive real, got -0.5"),
+    ],
+    ids=["pair", "weight"],
+)
+def test_graph_set_names_the_record_header_for_a_graph_rule(tmp_path, record, message):
+    # pair and weight rules belong to Graph and WeightedGraph; the loader names the record's `n m` line
+    path = tmp_path / "bad.graphs"
+    path.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n\n# the bad record\n" + record)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_set(path)
+    assert str(err.value) == f"{path}:7: {message}"
+
+
 def test_graph_set_rejects_more_than_8_vertices_at_the_record_header(tmp_path):
     path = tmp_path / "big.graphs"
     path.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n\n9 2\n0 1 1.0\n7 8 0.5\n")

@@ -29,7 +29,6 @@ from qaoa_pca.pipeline import (
     stable_hash,
 )
 from qaoa_pca.records import ComparisonRow, RunRecord
-from qaoa_pca.stats import median
 
 FAST_OPT = OptimizerConfig(max_evals=120)
 
@@ -109,6 +108,40 @@ def test_run_training_shapes_and_energy_bound():
 def test_run_training_refuses_an_empty_graph_set():
     with pytest.raises(ValueError, match="graph set is empty"):
         run_training(small_training_cfg(), [])
+
+
+def test_evaluation_stages_refuse_an_empty_graph_set(trained_model):
+    X, model, _ = trained_model
+    with pytest.raises(ValueError, match="graph set is empty"):
+        evaluate_standard(1, [])
+    with pytest.raises(ValueError, match="graph set is empty"):
+        evaluate_pca(EvalConfig(p=2, k_components=2), model, [], X)
+
+
+def test_pool_starts_no_more_processes_than_graphs(monkeypatch):
+    # under fork a ProcessPoolExecutor starts all max_workers processes at its first submit
+    sizes = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialExecutor)
+    two = [unit_weights(Graph(2, frozenset({(0, 1)}))), unit_weights(Graph(3, frozenset({(0, 1), (1, 2)})))]
+    records = evaluate_standard(1, two, optimizer_cfg=FAST_OPT, workers=3)
+    assert sizes == [2]
+    assert records == evaluate_standard(1, two, optimizer_cfg=FAST_OPT)
+    evaluate_standard(1, two[:1], optimizer_cfg=FAST_OPT, workers=3)  # one graph runs in this process
+    assert sizes == [2]
 
 
 def test_run_training_deterministic():
@@ -283,17 +316,29 @@ def key_of(obj) -> str:
 
 
 def test_checkpoint_key_hashes_values():
-    assert key_of((1, 2.0)) != key_of((1.0, 2))
-    assert key_of(np.float64(0.5)) == key_of(0.5)
-    assert key_of(0.1 + 0.2) != key_of(0.3)  # floats exactly
     assert key_of(("ab", "c")) != key_of(("a", "bc"))
+    assert key_of((1, True)) != key_of((True, 1))
     assert key_of(np.zeros(2)) != key_of(np.zeros(2, dtype=np.float32))
     assert key_of(np.zeros((2, 1))) != key_of(np.zeros((1, 2)))
+    assert key_of(np.array([0.1 + 0.2])) != key_of(np.array([0.3]))  # floats exactly
     assert key_of(OptimizerConfig()) == key_of(OptimizerConfig())
     assert key_of(OptimizerConfig()) != key_of(OptimizerConfig(max_evals=999))
-    for unkeyable in ({"a": 1}, np.array([None])):  # no stage shares a dict; object arrays hold addresses
+    # no stage shares a float, list, None or dict; object arrays would hash addresses
+    for unkeyable in (0.5, np.float64(0.5), [1, 2], None, {"a": 1}, np.array([None])):
         with pytest.raises(TypeError):
             key_of(unkeyable)
+
+
+def test_checkpoint_key_of_each_stage_is_pinned():
+    # the stage part of every checkpoint key, numpy version aside: a change here orphans old checkpoints
+    X = ParameterMatrix(np.array([[0.25, 0.5, 0.75, 1.0], [1.5, 1.25, 0.125, 0.0]]))
+    model = PCAModel(2, np.array([0.5, 0.25, 0.125, 1.0]), np.eye(4), np.array([3.0, 2.0, 1.0, 0.0]))
+    assert key_of((pipeline.train_graph.__qualname__, (2, OptimizerConfig(max_evals=120)))) == (
+        "9d4dea940870a4ead5b3a0284b83b902fa03667debb54a9b99eafd759f0cc924"
+    )
+    assert key_of((_pca_task.__qualname__, (model, X, 2, 5, 7, OptimizerConfig()))) == (
+        "46236bfb3ecaabdee07698421d9be538f2f4de3e745b86224b0b0df615ceed0a"
+    )
 
 
 def test_evaluate_standard_sorted_and_bounded():
@@ -335,8 +380,8 @@ def test_evaluate_standard_depth_helps_on_median():
     eval_set = build_eval_set(5, 10, seed=4)
     shallow = evaluate_standard(1, eval_set, optimizer_cfg=OptimizerConfig(max_evals=400))
     deep = evaluate_standard(2, eval_set, optimizer_cfg=OptimizerConfig(max_evals=400))
-    med1 = median([r.approx_ratio for r in shallow])
-    med2 = median([r.approx_ratio for r in deep])
+    med1 = np.median([r.approx_ratio for r in shallow])
+    med2 = np.median([r.approx_ratio for r in deep])
     if med2 < med1:
         warnings.warn(f"median ratio dropped from p=1 ({med1:.4f}) to p=2 ({med2:.4f})")
 
@@ -450,6 +495,11 @@ def test_compare_dominant_side_hits_minus_one():
     swapped = compare(base, pca, "same_layers")
     assert swapped.rbc_evals == 1.0
     assert swapped.p_value_evals == row.p_value_evals
+
+
+def test_compare_refuses_empty_record_lists():
+    with pytest.raises(ValueError, match="empty record lists"):
+        compare([], [], "same_layers")
 
 
 def test_compare_misaligned_lists_name_offenders():
