@@ -185,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=_worker_count,
-        default=os.cpu_count() or 1,
-        help="parallel worker processes (default: core count)",
+        default=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+        help="parallel worker processes (default: the CPUs this process may run on)",
     )
     common.add_argument("--out", required=True, help="output file path")
     # accepted for older scripts; artifacts hold no clock time, so it does nothing

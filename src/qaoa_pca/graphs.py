@@ -249,16 +249,22 @@ def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
 
 
 def load_graph_set(path) -> list[WeightedGraph]:
-    """Parse a graph-set file: records of `n m` (m >= 1) then m lines `u v w`, blank-line
-    separated, `#` comments allowed. Raises GraphFormatError naming the offending line;
-    a graph that `Graph` or `WeightedGraph` refuses is named by its `n m` line."""
+    """Parse a graph-set file: the `GRAPH_SET_HEADER` line first, then records of `n m`
+    (m >= 1) and m lines `u v w`, blank-line separated, `#` comments allowed. Raises
+    GraphFormatError naming the offending line; a graph that `Graph` or `WeightedGraph`
+    refuses is named by its `n m` line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-    # (line number, text) of each line that is neither blank nor a comment
-    body = ((no, text) for no, text in enumerate(raw, 1) if text.strip()[:1] not in ("", "#"))
 
     def fail(lineno: int, msg: str):
         raise GraphFormatError(f"{path}:{lineno}: {msg}")
+
+    nonblank = ((no, text) for no, text in enumerate(raw, 1) if text.strip())
+    no, first = next(nonblank, (1, ""))
+    if first.strip() != GRAPH_SET_HEADER:
+        fail(no, f"expected the version line {GRAPH_SET_HEADER!r} first, got {first!r}")
+    # (line number, text) of each line after it that is not a comment
+    body = ((no, text) for no, text in nonblank if not text.lstrip().startswith("#"))
 
     graphs: list[WeightedGraph] = []
     for header_no, text in body:

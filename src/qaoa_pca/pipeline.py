@@ -98,11 +98,12 @@ class Checkpoint:
     """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
     `keys` maps each graph id to the key its record must carry to be reused.
-    Lines under any other key, lines that are not a JSON object with a
-    string graph id, and records with a field missing or refused by
-    `RunRecord` are preserved and ignored, so their graphs are recomputed;
-    a truncated final line (cut-off run) is skipped on load, and the first
-    `add` ends it with a newline so the new record starts a line of its own.
+    A line is kept in the file but ignored, and its graph recomputed, when
+    reading it raises KeyError, TypeError or ValueError: a blank or torn line
+    (cut-off run), a JSON number, array, string or null, an object whose
+    graph id is missing or not in `keys`, a line under another key, and a
+    record with a field missing or refused by `RunRecord`. The first `add`
+    ends a torn final line with a newline so the new record starts its own.
     """
 
     def __init__(self, path, keys: dict[str, str]):
@@ -118,21 +119,14 @@ class Checkpoint:
         for line in lines:
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:  # blank or torn line
+                gid = obj["graph_id"]
+                if obj["config"] == keys[gid]:
+                    self.done[gid] = RunRecord(
+                        gid, obj["method"], obj["layers"], obj["param_count"],
+                        obj["evals"], obj["approx_ratio"], tuple(obj["best_params"]),
+                    )
+            except (KeyError, TypeError, ValueError):  # a line the class docstring lists
                 continue
-            if not isinstance(obj, dict) or not isinstance(obj.get("graph_id"), str):
-                continue  # valid JSON, but not a record line
-            gid = obj["graph_id"]
-            key = keys.get(gid)
-            if key is None or obj.get("config") != key:
-                continue
-            try:
-                self.done[gid] = RunRecord(
-                    gid, obj["method"], obj["layers"], obj["param_count"],
-                    obj["evals"], obj["approx_ratio"], tuple(obj["best_params"]),
-                )
-            except (KeyError, TypeError, ValueError):  # a field missing, or a record `add` does not write
-                pass
         self._fh = None
 
     def add(self, rec: RunRecord) -> None:
@@ -183,7 +177,7 @@ def _map_tasks(fn, tasks, workers: int):
     workers = min(workers, len(tasks))  # under fork a pool starts every worker at its first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            yield from ex.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (8 * workers)))
+            yield from ex.map(fn, *zip(*tasks))
     else:
         for t in tasks:
             yield fn(*t)
@@ -221,10 +215,10 @@ def _run_stage(
     """fn(wg, gid, *shared) on each graph; the records by graph id, in graph order.
 
     An empty set is rejected, and so are two isomorphic graphs, which would
-    share an id. Each record reaches the checkpoint as soon as it arrives. A
-    checkpointed record is reused only under the key of what it was computed
-    from: fn, the shared arguments, the numpy version (the optimizer's
-    trajectory depends on numpy's arithmetic) and the weighted graph.
+    share an id. Each record reaches the checkpoint when its graph's result
+    comes back, in graph order. A checkpointed record is reused only under the
+    key of what it was computed from: fn, the shared arguments, the numpy version
+    (the optimizer's trajectory depends on numpy's arithmetic) and the weighted graph.
     """
     if not graphs:
         raise ValueError("the graph set is empty: there is nothing to compute")
@@ -249,10 +243,9 @@ def _run_stage(
             keys[gid] = h.hexdigest()[:16]
         checkpoint = Checkpoint(checkpoint_path, keys)
         done = dict(checkpoint.done)
-    pending = [gid for gid in todo if gid not in done]
     try:
-        for gid, rec in zip(pending, _map_tasks(fn, [(todo[gid], gid, *shared) for gid in pending], workers)):
-            done[gid] = rec
+        for rec in _map_tasks(fn, [(wg, gid, *shared) for gid, wg in todo.items() if gid not in done], workers):
+            done[rec.graph_id] = rec
             if checkpoint:
                 checkpoint.add(rec)
     finally:

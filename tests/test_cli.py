@@ -417,6 +417,18 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_workers_default_to_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):
+    # the affinity mask, not the machine's core count, as perfbench/workloads.py nproc() counts; starts no process
+    argv = ["gen-graphs", "--n", "4", "--out", str(tmp_path / "g.graphs")]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert build_parser().parse_args(argv).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it count every core
+    assert build_parser().parse_args(argv).workers == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(argv).workers == 1
+
+
 def test_malformed_graph_file_fails_validation(tmp_path, capsys):
     bad = tmp_path / "bad.graphs"
     bad.write_text("# graph-set v1\n\n2 1\n0 1 -3.0\n")

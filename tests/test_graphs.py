@@ -238,6 +238,23 @@ def test_graph_set_names_the_record_header_for_a_graph_rule(tmp_path, record, me
     assert str(err.value) == f"{path}:7: {message}"
 
 
+@pytest.mark.parametrize(
+    "body,lineno,first",
+    [
+        ("2 1\n0 1 1.0\n", 1, "2 1"),
+        ("\n# graph-set v9\n\n2 1\n0 1 1.0\n", 2, "# graph-set v9"),
+    ],
+    ids=["headerless", "other-version"],
+)
+def test_graph_set_must_begin_with_its_version_line(tmp_path, body, lineno, first):
+    # a file of another format version, or of none, is refused rather than read as v1
+    path = tmp_path / "set.graphs"
+    path.write_text(body)
+    with pytest.raises(GraphFormatError) as err:
+        load_graph_set(path)
+    assert str(err.value) == f"{path}:{lineno}: expected the version line '# graph-set v1' first, got {first!r}"
+
+
 def test_graph_set_rejects_more_than_8_vertices_at_the_record_header(tmp_path):
     path = tmp_path / "big.graphs"
     path.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n\n9 2\n0 1 1.0\n7 8 0.5\n")

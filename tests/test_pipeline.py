@@ -144,6 +144,44 @@ def test_pool_starts_no_more_processes_than_graphs(monkeypatch):
     assert sizes == [2]
 
 
+def test_each_graph_reaches_the_checkpoint_before_the_next_result_is_awaited(tmp_path, monkeypatch):
+    # like ProcessPoolExecutor, this executor hands back a chunk's results only when the whole chunk is done
+    log = []
+
+    class ChunkingExecutor:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            tasks = list(zip(*iterables))
+            for i in range(0, len(tasks), chunksize):
+                yield from [fn(*t) for t in tasks[i:i + chunksize]]
+
+    def train_graph(wg, gid, p, cfg):
+        log.append("run")
+        return RunRecord(gid, "standard", 1, 2, 3, 0.5, (0.1, 0.2))
+
+    add = Checkpoint.add
+
+    def logged_add(self, rec):
+        log.append("add")
+        add(self, rec)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", ChunkingExecutor)
+    monkeypatch.setattr(pipeline, "train_graph", train_graph)
+    monkeypatch.setattr(Checkpoint, "add", logged_add)
+    graphs = build_graph_set(2, 6, False, seed=0)[:40]
+    records = evaluate_standard(1, graphs, checkpoint_path=tmp_path / "s.ckpt", workers=2)
+    assert log == ["run", "add"] * 40
+    assert sorted(r.graph_id for r in records) == sorted(graph_id(wg.graph) for wg in graphs)
+
+
 def test_run_training_deterministic():
     a = run_training(small_training_cfg(), small_training_set())
     b = run_training(small_training_cfg(), small_training_set())

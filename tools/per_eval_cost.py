@@ -32,7 +32,6 @@ import dataclasses
 import importlib
 import importlib.util
 import json
-import os
 import platform
 import statistics
 import sys
@@ -44,7 +43,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # perfbench/ is only read: no __pycache__ there
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import GEN_SEED, TRAIN_PER_N  # noqa: E402  (imports no qaoa_pca at module level)
+from workloads import GEN_SEED, TRAIN_PER_N, nproc  # noqa: E402  (imports no qaoa_pca at module level)
 
 TRAIN_P = 2  # build_train_p2's depth
 OBJECTIVE_CALLS = 200  # objective calls per (n, p), tree and round
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
                 objective_us[case][label].append(time_objective(trees[label], diag, theta))
 
     result = {
-        "nproc": os.cpu_count(),
+        "nproc": nproc(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "base": str(args.base),
