@@ -48,13 +48,6 @@ class Graph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge {e} is not a valid pair with u < v < n={self.n}")
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -226,15 +219,14 @@ def sample_connected_nonisomorphic(n: int, count: int, seed: int) -> list[Graph]
             f"found only {len(found)} of {count} connected non-isomorphic graphs on "
             f"{n} vertices within {attempt_budget} attempts"
         )
-    chosen = list(found)[:count]
-    return [graph_from_mask(n, m) for m in chosen]
+    return [graph_from_mask(n, bits) for bits in found]
 
 
 def assign_random_weights(g: Graph, seed: int) -> WeightedGraph:
     """Independent uniform weights on (0, 1] per edge, in sorted-edge order; pure in (g, seed)."""
     rng = np.random.default_rng(seed)
-    draws = 1.0 - rng.random(g.m)  # rng.random is [0, 1), so weights land in (0, 1]
-    return WeightedGraph(g, {e: float(w) for e, w in zip(g.sorted_edges(), draws)})
+    draws = 1.0 - rng.random(len(g.edges))  # rng.random is [0, 1), so weights land in (0, 1]
+    return WeightedGraph(g, {e: float(w) for e, w in zip(sorted(g.edges), draws)})
 
 
 def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
@@ -242,8 +234,8 @@ def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
     lines = [GRAPH_SET_HEADER]
     for wg in graphs:
         lines.append("")
-        lines.append(f"{wg.graph.n} {wg.graph.m}")
-        for u, v in wg.graph.sorted_edges():
+        lines.append(f"{wg.graph.n} {len(wg.graph.edges)}")
+        for u, v in sorted(wg.graph.edges):
             lines.append(f"{u} {v} {wg.weights[(u, v)]!r}")
     write_text_atomic(path, "\n".join(lines) + "\n")
 

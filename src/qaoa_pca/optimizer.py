@@ -49,15 +49,11 @@ class OptResult:
     converged: bool
 
 
-def tqa_init(p: int, dt: float) -> ParameterVector:
-    """Linear annealing schedule: gamma_i = (i/p) dt, beta_i = (1 - i/p) dt, i = 1..p."""
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def tqa_init(p: int, dt: float) -> np.ndarray:
+    """Linear annealing schedule as 2p float64 angles: gamma_i = (i/p) dt, beta_i = (1 - i/p) dt, i = 1..p."""
     gamma = [dt * i / p for i in range(1, p + 1)]
     beta = [dt * (1.0 - i / p) for i in range(1, p + 1)]
-    return ParameterVector.from_array(gamma + beta)
+    return np.array(gamma + beta, dtype=np.float64)
 
 
 def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
@@ -138,5 +134,5 @@ def train_graph(wg: WeightedGraph, gid: str, p: int, cfg: OptimizerConfig = Opti
 
     Seeds run in ascending time step, so ties go to the smaller step.
     """
-    starts = (tqa_init(p, dt).as_array() for dt in TQA_STEPS)
+    starts = (tqa_init(p, dt) for dt in TQA_STEPS)
     return optimize_graph(wg, gid, METHOD_STANDARD, starts, ParameterVector.from_array, cfg)

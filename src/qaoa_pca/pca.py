@@ -49,7 +49,7 @@ class ParameterMatrix:
 
 
 class CoefficientVector:
-    """The k starting coefficients of one reduced-run restart as one read-only float64 array."""
+    """k coefficients as one read-only float64 array; the package builds none, it stays as a benchmark span target."""
 
     __slots__ = ("coeffs",)
 
@@ -134,15 +134,13 @@ def expand(model: PCAModel, coeffs: np.ndarray) -> ParameterVector:
 
 def sample_coefficients(
     model: PCAModel, k: int, training_X: ParameterMatrix, seed: int
-) -> CoefficientVector:
-    """Uniform draw between the least and greatest projection of the training rows on each component."""
-    if not (1 <= k <= model.n_components):
-        raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
+) -> np.ndarray:
+    """k float64 coefficients, each uniform between the least and greatest training projection on its component."""
     if model.degenerate:
-        return CoefficientVector(np.zeros(k))
+        return np.zeros(k)
     proj = (training_X.rows - model.mean) @ model.components[:k].T  # (rows, k)
     rng = np.random.default_rng(seed)
-    return CoefficientVector(rng.uniform(proj.min(axis=0), proj.max(axis=0)))
+    return rng.uniform(proj.min(axis=0), proj.max(axis=0))
 
 
 def save_model(path, model: PCAModel) -> None:

@@ -81,8 +81,6 @@ class EvalConfig:
     model_ref: str = ""
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be at least 1, got {self.p}")
         if not (1 <= self.k_components <= self.p):
             raise ValueError(
                 f"k_components must be in 1..{self.p} for p={self.p}"
@@ -97,13 +95,13 @@ class EvalConfig:
 class Checkpoint:
     """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
-    `keys` maps each graph id to the key its record must carry to be reused.
-    A line is kept in the file but ignored, and its graph recomputed, when
-    reading it raises KeyError, TypeError or ValueError: a blank or torn line
-    (cut-off run), a JSON number, array, string or null, an object whose
-    graph id is missing or not in `keys`, a line under another key, and a
-    record with a field missing or refused by `RunRecord`. The first `add`
-    ends a torn final line with a newline so the new record starts its own.
+    `keys` maps each graph id to the key its record must carry to be reused;
+    `done` holds the records the file held under those keys when opened. A line is
+    kept in the file but ignored, and its graph recomputed, when reading it raises
+    KeyError, TypeError or ValueError: a blank line, a line torn by a cut-off run,
+    JSON other than an object, an object whose graph id is missing or not in
+    `keys`, a line under another key, and a record with a field missing or refused
+    by `RunRecord`. The first `add` ends a torn final line with a newline.
     """
 
     def __init__(self, path, keys: dict[str, str]):
@@ -137,7 +135,6 @@ class Checkpoint:
                 self._torn = False
         self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **asdict(rec)}) + "\n")
         self._fh.flush()  # a killed run keeps every finished graph
-        self.done[rec.graph_id] = rec
 
     def close(self) -> None:
         if self._fh is not None:
@@ -167,7 +164,7 @@ def build_eval_set(n: int, count: int, seed: int, weighted: bool = True) -> list
 
 def _pca_task(wg, gid, model, training_X, k, restarts, seed, opt) -> RunRecord:
     starts = (
-        sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r)).coeffs
+        sample_coefficients(model, k, training_X, stable_hash(seed, "pca-init", gid, r))
         for r in range(restarts)
     )
     return optimize_graph(wg, gid, METHOD_PCA, starts, partial(expand, model), opt)

@@ -136,7 +136,7 @@ def qaoa_objective(wg):
 
 def test_p8_start_that_hits_its_budget():
     wg = build_graph_set(5, 5, weighted=False, seed=2024)[3]
-    x0 = optimizer.tqa_init(8, 0.5).as_array()
+    x0 = optimizer.tqa_init(8, 0.5)
     res = assert_same_run(qaoa_objective(wg), x0, OptimizerConfig(max_evals=150))
     assert res.evals == 150 and not res.converged
 
@@ -144,7 +144,7 @@ def test_p8_start_that_hits_its_budget():
 @pytest.mark.parametrize("budget", range(1, 8))
 def test_small_budgets(budget):
     wg = build_graph_set(5, 5, weighted=False, seed=2024)[0]
-    res = assert_same_run(qaoa_objective(wg), optimizer.tqa_init(2, 0.3).as_array(), OptimizerConfig(max_evals=budget))
+    res = assert_same_run(qaoa_objective(wg), optimizer.tqa_init(2, 0.3), OptimizerConfig(max_evals=budget))
     assert res.evals == budget
 
 
@@ -188,7 +188,7 @@ def test_non_finite_start_is_rejected_by_both():
 def test_generator_driven_by_hand_gives_minimize_result():
     wg = build_graph_set(5, 5, weighted=False, seed=2024)[2]
     f = qaoa_objective(wg)()
-    x0 = optimizer.tqa_init(2, 0.7).as_array()
+    x0 = optimizer.tqa_init(2, 0.7)
     cfg = OptimizerConfig()
 
     points, values = [], []

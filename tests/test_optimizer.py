@@ -12,6 +12,7 @@ from qaoa_pca.optimizer import (
     tqa_init,
     train_graph,
 )
+from qaoa_pca.pca import ParameterMatrix, fit, sample_coefficients
 
 
 def triangle():
@@ -25,25 +26,29 @@ def test_config_validation():
 
 
 def test_tqa_init_examples():
-    assert tqa_init(2, 0.5).as_array().tolist() == [0.25, 0.5, 0.25, 0.0]
-    assert tqa_init(1, 0.9).as_array().tolist() == [0.9, 0.0]
-    theta = tqa_init(4, 0.1).as_array()
+    assert tqa_init(2, 0.5).tolist() == [0.25, 0.5, 0.25, 0.0]
+    assert tqa_init(1, 0.9).tolist() == [0.9, 0.0]
+    theta = tqa_init(4, 0.1)
     assert np.allclose(theta, (0.025, 0.05, 0.075, 0.1, 0.075, 0.05, 0.025, 0.0))
 
 
 def test_tqa_init_boundary_properties():
     for p in (1, 2, 3, 5, 8):
         for dt in (0.1, 0.3, 0.5, 0.7, 0.9):
-            theta = tqa_init(p, dt).as_array()
+            theta = tqa_init(p, dt)
             assert theta[0] == pytest.approx(dt / p)
             assert theta[-1] == 0.0
 
 
-def test_tqa_init_domain_errors():
-    with pytest.raises(ValueError):
-        tqa_init(0, 0.5)
-    with pytest.raises(ValueError):
-        tqa_init(2, 0.0)
+def test_starts_are_arrays_and_cobyla_checks_them():
+    X = ParameterMatrix(np.random.default_rng(0).uniform(size=(6, 4)))
+    model = fit(X)
+    for start in (tqa_init(2, 0.5), sample_coefficients(model, 2, X, seed=3)):
+        assert type(start) is np.ndarray and start.ndim == 1 and start.dtype == np.float64
+    # an empty start is refused once, by COBYLA's x0 rule
+    for start in (tqa_init(0, 0.5), sample_coefficients(model, 0, X, seed=3)):
+        with pytest.raises(ValueError, match="x0 must be a nonempty 1-d vector"):
+            minimize(lambda x: 0.0, start)
 
 
 def test_minimize_1d_quadratic():
@@ -129,7 +134,7 @@ def test_train_graph_equals_best_single_run():
     def f(x):
         return objective(diag, ParameterVector.from_array(x))
 
-    runs = [minimize(f, tqa_init(2, dt).as_array()) for dt in TQA_STEPS]
+    runs = [minimize(f, tqa_init(2, dt)) for dt in TQA_STEPS]
     ratios = [approximation_ratio(r.best_value, cmin) for r in runs]
     best = runs[ratios.index(max(ratios))]  # index() finds the earliest start of a tie
     rec = train_graph(wg, graph_id(wg.graph), 2)

@@ -168,15 +168,15 @@ def test_sample_coefficients_inside_ranges_and_deterministic():
     proj = np.array([project(model, ParameterVector.from_array(row), 3) for row in X.rows])
     a = sample_coefficients(model, 3, X, seed=77)
     b = sample_coefficients(model, 3, X, seed=77)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert np.all(proj.min(axis=0) <= a.coeffs) and np.all(a.coeffs <= proj.max(axis=0))
-    assert not np.array_equal(sample_coefficients(model, 3, X, seed=78).coeffs, a.coeffs)
+    assert np.array_equal(a, b)
+    assert np.all(proj.min(axis=0) <= a) and np.all(a <= proj.max(axis=0))
+    assert not np.array_equal(sample_coefficients(model, 3, X, seed=78), a)
 
 
 def test_sample_coefficients_degenerate_is_zero():
     X = ParameterMatrix(np.tile([0.1, 0.2, 0.3, 0.4], (4, 1)))
     model = fit(X)
-    assert sample_coefficients(model, 2, X, seed=5).coeffs.tolist() == [0.0, 0.0]
+    assert sample_coefficients(model, 2, X, seed=5).tolist() == [0.0, 0.0]
 
 
 def test_model_round_trip(tmp_path):

@@ -77,7 +77,7 @@ def train_p2_starts(tree: dict) -> list[tuple]:
         def f(x, diag=diag):
             return engine.objective(diag, engine.ParameterVector.from_array(x))
 
-        out.extend((f, optimizer.tqa_init(TRAIN_P, dt).as_array()) for dt in optimizer.TQA_STEPS)
+        out.extend((f, optimizer.tqa_init(TRAIN_P, dt)) for dt in optimizer.TQA_STEPS)
     return out
 
 
