@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 for validation problems (bad flags, malformed or
 missing inputs, config bounds), 2 for unexpected runtime failures. Artifacts
 hold no wall-clock time, so a rerun with the same arguments and inputs writes
-the same bytes; every run logs its config hash, seed and UTC time to stderr so
-artifacts can be traced.
+the same bytes; every run logs its config hash, its seed if the subcommand
+takes one, and UTC time to stderr so artifacts can be traced.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _cmd_fit_pca(args, provenance: dict) -> str:
     model = fit(ParameterMatrix(rows))
     save_model(args.out, model)
     note = " (degenerate: zero variance)" if model.degenerate else ""
-    return f"fit {model.n_components}-component model at p={model.p}{note}"
+    return f"fit {2 * model.p}-component model at p={model.p}{note}"
 
 
 def _cmd_evaluate(args, provenance: dict) -> str:
@@ -181,7 +181,6 @@ def _cmd_report(args, provenance: dict) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument(
         "--workers",
         type=_worker_count,
@@ -193,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="qaoa-pca", description=__doc__)
+    seed = dict(type=int, default=0, help="master seed (default 0)")
     max_evals = dict(type=int, default=OptimizerConfig.max_evals, help="objective evaluation budget per start")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", required=True, help="vertex count N or range LO..HI")
     p_gen.add_argument("--weighted", action="store_true", help="draw edge weights in (0, 1]")
     p_gen.add_argument("--count", type=int, default=None, help="sample this many instead of enumerating")
+    p_gen.add_argument("--seed", **seed)
     p_gen.set_defaults(func=_cmd_gen_graphs)
 
     p_train = sub.add_parser("train", parents=[common], help="optimize every graph, save the parameter matrix")
@@ -208,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--records", default=None, help="also write per-run records CSV here")
     p_train.add_argument("--checkpoint", default=None, help="append-only resume file")
     p_train.add_argument("--max-evals", **max_evals)
+    p_train.add_argument("--seed", **seed)  # read by no stage, but part of the `# config` digest
     p_train.set_defaults(func=_cmd_train)
 
     p_fit = sub.add_parser("fit-pca", parents=[common], help="fit the component model to a parameter matrix")
@@ -226,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument("--checkpoint", default=None, help="append-only resume file")
     p_eval.add_argument("--max-evals", **max_evals)
+    p_eval.add_argument("--seed", **seed)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="paired signed-rank comparison of two record files")
@@ -249,12 +252,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage (exit code 1 here)
         return 0 if exc.code == 0 else 1
     try:
-        # the hash reads every input file, so a missing one fails before any work;
-        # results depend on numpy's arithmetic, so its version travels with them
+        # the hash reads every input file and each output needs its directory, so a missing one
+        # fails before any work; results depend on numpy's arithmetic, so its version travels with them
         config = _args_hash(args)
-        summary = args.func(args, {"config": config, "seed": args.seed, "numpy": np.__version__})
+        for flag in ("out", "records", "checkpoint"):
+            out_dir = Path(getattr(args, flag, None) or ".").parent
+            if not out_dir.is_dir():
+                raise ValueError(f"--{flag}: directory {str(out_dir)!r} does not exist")
+        seed = getattr(args, "seed", None)  # fit-pca, compare and report take none
+        summary = args.func(args, {"config": config, "seed": seed, "numpy": np.__version__})
         when = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        print(f"{args.command}: config {config} seed {args.seed} at {when}", file=sys.stderr)
+        seeded = "" if seed is None else f" seed {seed}"
+        print(f"{args.command}: config {config}{seeded} at {when}", file=sys.stderr)
         print(summary, file=sys.stderr)
         return 0
     except (ValueError, OSError) as exc:

@@ -165,7 +165,6 @@ def cobyla(x0, maxfun: int):
         return updatepole(sim, simi)
 
     rho = delta = RHOBEG
-    d = None
     shortd = False
     ratio = -1
     jdrop_tr = 0
@@ -227,8 +226,6 @@ def cobyla(x0, maxfun: int):
             simi, ok = updatepole(sim, simi)
             if not ok:
                 return
-    if d is None:
-        return
     # a last short trust-region step that was never tried
     x = sim[:, n] + d
     if small_radius and shortd and np.linalg.norm(x - sim[:, n]) > 1.0e-3 * RHOEND and nf < maxfun:

@@ -28,10 +28,6 @@ MAX_ENUMERATION_VERTICES = 7
 GRAPH_SET_HEADER = "# graph-set v1"
 
 
-class GraphFormatError(ValueError):
-    """Raised when a graph-set file cannot be parsed; message carries the line number."""
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count and a frozenset of (u, v) pairs with u < v."""
@@ -64,7 +60,7 @@ class WeightedGraph:
                 raise ValueError(f"weight of edge {e} must be a finite positive real, got {w}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class CanonicalKey:
     """Isomorphism-class identifier: minimal adjacency bitmask over all relabelings."""
 
@@ -243,13 +239,13 @@ def save_graph_set(path, graphs: list[WeightedGraph]) -> None:
 def load_graph_set(path) -> list[WeightedGraph]:
     """Parse a graph-set file: the `GRAPH_SET_HEADER` line first, then records of `n m`
     (m >= 1) and m lines `u v w`, blank-line separated, `#` comments allowed. Raises
-    GraphFormatError naming the offending line; a graph that `Graph` or `WeightedGraph`
+    ValueError naming the offending line; a graph that `Graph` or `WeightedGraph`
     refuses is named by its `n m` line."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
 
     def fail(lineno: int, msg: str):
-        raise GraphFormatError(f"{path}:{lineno}: {msg}")
+        raise ValueError(f"{path}:{lineno}: {msg}")
 
     nonblank = ((no, text) for no, text in enumerate(raw, 1) if text.strip())
     no, first = next(nonblank, (1, ""))

@@ -28,10 +28,6 @@ from .records import RunRecord, METHOD_STANDARD
 TQA_STEPS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-class NonFiniteObjectiveError(ValueError):
-    """The objective returned NaN or infinity at the starting point."""
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_evals: int = 1000
@@ -72,7 +68,7 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
         val = float(f(x))
         evals += 1
         if evals == 1 and not math.isfinite(val):
-            raise NonFiniteObjectiveError(f"objective is {val} at the starting point {x0}")
+            raise ValueError(f"objective is {val} at the starting point {x0}")
         if val < best_val:
             best_val = val
             best_x = x

@@ -21,10 +21,6 @@ from .records import write_text_atomic
 MODEL_FORMAT = "pca-model/1"
 
 
-class ModelFormatError(ValueError):
-    """Raised when a model file is missing fields or structurally invalid."""
-
-
 @dataclass(frozen=True)
 class ParameterMatrix:
     """Stack of trained length-2p parameter rows, one per training graph."""
@@ -97,10 +93,6 @@ class PCAModel:
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", eig)
 
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
 
 def fit(X: ParameterMatrix) -> PCAModel:
     """Eigendecomposition of the row covariance (n-1 divisor) of X."""
@@ -160,20 +152,20 @@ def load_model(path) -> PCAModel:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid model JSON: {exc}") from exc
+            raise ValueError(f"{path}: not valid model JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     tag = payload.get("format")
     if tag != MODEL_FORMAT:
-        raise ModelFormatError(f"{path}: format tag {tag!r}, expected {MODEL_FORMAT!r}")
+        raise ValueError(f"{path}: format tag {tag!r}, expected {MODEL_FORMAT!r}")
     for name in ("p", "degenerate", "mean", "eigenvalues", "components"):
         if name not in payload:
-            raise ModelFormatError(f"{path}: missing field {name!r}")
+            raise ValueError(f"{path}: missing field {name!r}")
     p, degenerate = payload["p"], payload["degenerate"]
     if type(p) is not int:  # not a float to truncate, nor a bool
-        raise ModelFormatError(f"{path}: field 'p' must be a JSON integer, got {p!r}")
+        raise ValueError(f"{path}: field 'p' must be a JSON integer, got {p!r}")
     if type(degenerate) is not bool:
-        raise ModelFormatError(f"{path}: field 'degenerate' must be a JSON boolean, got {degenerate!r}")
+        raise ValueError(f"{path}: field 'degenerate' must be a JSON boolean, got {degenerate!r}")
     try:
         return PCAModel(
             p=p,
@@ -183,4 +175,4 @@ def load_model(path) -> PCAModel:
             degenerate=degenerate,
         )
     except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or of the wrong shape
-        raise ModelFormatError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc

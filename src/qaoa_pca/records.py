@@ -24,10 +24,6 @@ RECORDS_FIELDS = ["graph_id", "method", "layers", "param_count", "evals", "appro
 SCATTER_FIELDS = ["evals", "approx_ratio", "method"]
 
 
-class RecordFormatError(ValueError):
-    """Raised when a records or matrix CSV does not match the expected schema."""
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """Outcome of optimizing one graph with one method; its checks are the schema of every stored record."""
@@ -132,13 +128,13 @@ def read_records(path) -> list[RunRecord]:
     is zero-filled; callers needing angles must keep the in-memory records."""
     rows = _read_csv(path)
     if not rows or rows[0] != RECORDS_FIELDS:
-        raise RecordFormatError(
+        raise ValueError(
             f"{path}: expected header {','.join(RECORDS_FIELDS)}, got {rows[0] if rows else 'empty file'}"
         )
     records = []
     for row in rows[1:]:
         if len(row) != len(RECORDS_FIELDS):
-            raise RecordFormatError(f"{path}: malformed row {row!r}")
+            raise ValueError(f"{path}: malformed row {row!r}")
         try:
             layers = int(row[2])
             records.append(
@@ -153,7 +149,7 @@ def read_records(path) -> list[RunRecord]:
                 )
             )
         except ValueError as exc:  # a number that does not parse, or a value `RunRecord` refuses
-            raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
+            raise ValueError(f"{path}: bad row {row!r}: {exc}") from None
     return records
 
 
@@ -190,20 +186,20 @@ def write_matrix(path, graph_ids: list[str], rows: np.ndarray, provenance: dict 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
     rows = _read_csv(path)
     if not rows:
-        raise RecordFormatError(f"{path}: empty matrix file")
+        raise ValueError(f"{path}: empty matrix file")
     header = rows[0]
     p = (len(header) - 1) // 2
     if p < 1 or header != matrix_fields(p):
-        raise RecordFormatError(f"{path}: unexpected matrix header {header!r}")
+        raise ValueError(f"{path}: unexpected matrix header {header!r}")
     ids = []
     data = []
     for row in rows[1:]:
         if len(row) != len(header):
-            raise RecordFormatError(f"{path}: malformed row {row!r}")
+            raise ValueError(f"{path}: malformed row {row!r}")
         try:
             data.append([_finite(x) for x in row[1:]])
         except ValueError as exc:
-            raise RecordFormatError(f"{path}: bad row {row!r}: {exc}") from None
+            raise ValueError(f"{path}: bad row {row!r}: {exc}") from None
         ids.append(row[0])
     return ids, np.array(data, dtype=np.float64).reshape(len(ids), 2 * p)
 

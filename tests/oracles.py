@@ -28,8 +28,8 @@ def project(model: PCAModel, theta: ParameterVector, k: int) -> np.ndarray:
     so the Euclidean residual of each row is nonincreasing in k and zero at full
     rank. The largest single-angle error is not guaranteed to fall with k.
     """
-    if not (1 <= k <= model.n_components):
-        raise ValueError(f"k must be in 1..{model.n_components}, got {k}")
+    if not (1 <= k <= 2 * model.p):
+        raise ValueError(f"k must be in 1..{2 * model.p}, got {k}")
     flat = theta.as_array()
     if flat.shape != model.mean.shape:
         raise ValueError(f"parameter vector has 2p={flat.size}, model expects {model.mean.size}")

@@ -139,7 +139,7 @@ def test_criterion_4_pca_suite():
     for matrix in (X, synthetic):
         model = fit(matrix)
         gram = model.components @ model.components.T
-        assert np.max(np.abs(gram - np.eye(model.n_components))) < 1e-8
+        assert np.max(np.abs(gram - np.eye(2 * model.p))) < 1e-8
         total_var = matrix.rows.var(axis=0, ddof=1).sum()
         assert abs(model.eigenvalues.sum() - total_var) < 1e-8
         dim = 2 * matrix.p

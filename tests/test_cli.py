@@ -21,7 +21,7 @@ from qaoa_pca.pipeline import (
     scatter_filename,
     standard_records_filename,
 )
-from qaoa_pca.records import RunRecord, read_comparison, read_matrix, read_records, write_records
+from qaoa_pca.records import RunRecord, read_comparison, read_matrix, read_records, write_matrix, write_records
 
 
 def run(*argv):
@@ -409,6 +409,48 @@ def test_exit_codes_on_bad_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_missing_output_directory_fails_before_any_work(tmp_path, capsys):
+    graphs, ckpt = tmp_path / "g.graphs", tmp_path / "t.ckpt"
+    assert run("gen-graphs", "--n", "4", "--out", graphs, "--no-timestamp") == 0
+    capsys.readouterr()
+    absent = tmp_path / "absent"
+    assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "60", "--checkpoint", ckpt,
+               "--out", absent / "m.csv", "--workers", "1") == 1
+    assert f"--out: directory {str(absent)!r} does not exist" in capsys.readouterr().err
+    assert not ckpt.exists()  # no graph was computed
+    for flag in ("--records", "--checkpoint"):
+        assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "60", flag, absent / "x",
+                   "--out", tmp_path / "m.csv", "--workers", "1") == 1
+        assert f"{flag}: directory {str(absent)!r} does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def seedless_calls(tmp_path):
+    """A valid call of each subcommand that reads no seed, by name."""
+    matrix = tmp_path / "m.csv"
+    write_matrix(matrix, ["a", "b", "c"], np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]))
+    pca, std = tmp_path / "pca.csv", tmp_path / "std.csv"
+    write_records(pca, synth_records(1, "pca", 2, 2))
+    write_records(std, synth_records(2, "standard", 2, 4))
+    write_report_records(tmp_path / "runs")
+    return {
+        "fit-pca": ["fit-pca", "--matrix", matrix, "--out", tmp_path / "model.pca"],
+        "compare": ["compare", "--pca", pca, "--baseline", std, "--kind", "same_layers",
+                    "--out", tmp_path / "c.json"],
+        "report": ["report", "--records-dir", tmp_path / "runs", "--out", tmp_path / "report.md"],
+    }
+
+
+@pytest.mark.parametrize("command", ["fit-pca", "compare", "report"])
+def test_seedless_subcommands_refuse_seed_and_log_none(tmp_path, capsys, command):
+    argv = seedless_calls(tmp_path)[command]
+    assert run(*argv, "--seed", "3") == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert run(*argv) == 0
+    logged = [line for line in capsys.readouterr().err.splitlines() if ": config " in line]
+    assert len(logged) == 1 and logged[0].startswith(f"{command}: config ") and " seed " not in logged[0]
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_is_a_usage_error(tmp_path, capsys, workers):
     out = tmp_path / "four.graphs"
@@ -517,15 +559,19 @@ def synth_records(seed, method, layers, param_count, count=16):
     return recs
 
 
-def test_report_structure(tmp_path, capsys):
-    records_dir = tmp_path / "runs"
+def write_report_records(records_dir):
+    """Every records file `report` reads; each configuration is seeded by its index."""
     records_dir.mkdir()
     for p in (1, 2, 4, 8):
         write_records(records_dir / standard_records_filename(p),
                       synth_records(100 + p, "standard", p, 2 * p))
-    for ts, p, k in REPORT_CONFIGURATIONS:
-        write_records(records_dir / pca_records_filename(ts, p, k),
-                      synth_records(hash((ts, p, k)) % 1000, "pca", p, k))
+    for i, (ts, p, k) in enumerate(REPORT_CONFIGURATIONS):
+        write_records(records_dir / pca_records_filename(ts, p, k), synth_records(i, "pca", p, k))
+
+
+def test_report_structure(tmp_path, capsys):
+    records_dir = tmp_path / "runs"
+    write_report_records(records_dir)
 
     report = tmp_path / "report.md"
     assert run("report", "--records-dir", records_dir, "--out", report, "--no-timestamp") == 0

@@ -6,7 +6,6 @@ from qaoa_pca.graphs import Graph, graph_id, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
 from qaoa_pca.optimizer import (
     TQA_STEPS,
-    NonFiniteObjectiveError,
     OptimizerConfig,
     minimize,
     tqa_init,
@@ -105,7 +104,7 @@ def test_minimize_best_value_is_best_params_value():
 
 
 def test_minimize_rejects_non_finite_start():
-    with pytest.raises(NonFiniteObjectiveError):
+    with pytest.raises(ValueError, match="objective is nan at the starting point"):
         minimize(lambda x: float("nan"), np.array([1.0]))
 
 

@@ -7,7 +7,6 @@ from qaoa_pca import records
 from qaoa_pca.records import (
     RECORDS_FIELDS,
     ComparisonRow,
-    RecordFormatError,
     RunRecord,
     matrix_fields,
     read_comparison,
@@ -72,14 +71,14 @@ def test_records_round_trip(tmp_path):
 def test_records_bad_header(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("graph_id,method\nX,standard\n")
-    with pytest.raises(RecordFormatError):
+    with pytest.raises(ValueError, match="expected header graph_id,method,layers"):
         read_records(path)
 
 
 def test_records_malformed_row(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("graph_id,method,layers,param_count,evals,approx_ratio\na,standard,2\n")
-    with pytest.raises(RecordFormatError):
+    with pytest.raises(ValueError, match="malformed row"):
         read_records(path)
 
 
@@ -95,7 +94,7 @@ def test_records_bad_value_names_the_file_and_row(tmp_path, column, value):
     row[column] = value
     path = tmp_path / "records.csv"
     path.write_text(",".join(RECORDS_FIELDS) + "\n" + ",".join(row.values()) + "\n")
-    with pytest.raises(RecordFormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         read_records(path)
     assert str(exc.value).startswith(f"{path}: bad row {list(row.values())!r}")
 
@@ -125,21 +124,21 @@ def test_matrix_shape_mismatch(tmp_path):
 def test_matrix_bad_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("graph_id,g1,b1\nX,0.0,0.0\n")
-    with pytest.raises(RecordFormatError):
+    with pytest.raises(ValueError, match="unexpected matrix header"):
         read_matrix(path)
 
 
 def test_matrix_header_without_angles(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("graph_id\nX\n")
-    with pytest.raises(RecordFormatError, match="unexpected matrix header"):
+    with pytest.raises(ValueError, match="unexpected matrix header"):
         read_matrix(path)
 
 
 def test_matrix_bad_value_names_the_file_and_row(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("graph_id,gamma_1,beta_1\nX,0.5,0.25\nY,0.5,abc\n")
-    with pytest.raises(RecordFormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         read_matrix(path)
     assert str(exc.value).startswith(f"{path}: bad row ['Y', '0.5', 'abc']")
 
@@ -149,7 +148,7 @@ def test_matrix_non_finite_value_names_the_file_and_row(tmp_path, value):
     # float() takes these, so the file has to refuse them itself
     path = tmp_path / "m.csv"
     path.write_text(f"graph_id,gamma_1,beta_1\nX,0.5,0.25\nY,{value},0.5\n")
-    with pytest.raises(RecordFormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         read_matrix(path)
     assert str(exc.value).startswith(f"{path}: bad row ['Y', '{value}', '0.5']")
 
