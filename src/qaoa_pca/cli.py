@@ -50,14 +50,9 @@ from .records import (
 
 
 def _parse_vertex_range(text: str) -> tuple[int, int]:
-    parts = text.split("..")
+    lo, dots, hi = text.partition("..")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
+        lo, hi = int(lo), int(hi if dots else lo)
     except ValueError:
         raise ValueError(f"--n expects N or LO..HI, got {text!r}") from None
     if lo > hi:
@@ -119,20 +114,18 @@ def _cmd_fit_pca(args, provenance: dict) -> str:
 
 
 def _cmd_evaluate(args, provenance: dict) -> str:
-    # a flag of the other mode would change only the config hash
-    for name in ("model", "components", "matrix") if args.standard else ("p",):
-        if getattr(args, name) is not None:
-            mode = "--standard" if args.standard else "without --standard"
-            raise ValueError(f"evaluate {mode} does not take --{name}")
+    # --standard needs --p, the reduced mode the other three; the other mode's would change only the hash
+    mode = "--standard" if args.standard else "without --standard"
+    for name in ("p", "model", "components", "matrix"):
+        needed = (name == "p") == args.standard
+        if (getattr(args, name) is None) == needed:
+            verb = "needs" if needed else "does not take"
+            raise ValueError(f"evaluate {mode} {verb} --{name}")
     eval_set = load_graph_set(args.graphs)
     opt = OptimizerConfig(max_evals=args.max_evals)
     if args.standard:
-        if args.p is None:
-            raise ValueError("--standard needs --p")
         records = evaluate_standard(args.p, eval_set, opt, checkpoint_path=args.checkpoint, workers=args.workers)
     else:
-        if args.model is None or args.components is None or args.matrix is None:
-            raise ValueError("evaluate needs --standard --p, or --model, --components and --matrix")
         model = load_model(args.model)
         _, rows = read_matrix(args.matrix)
         cfg = EvalConfig(p=model.p, k_components=args.components, restarts=args.restarts, seed=args.seed)
@@ -163,7 +156,7 @@ def _cmd_compare(args, provenance: dict) -> str:
 def _cmd_report(args, provenance: dict) -> str:
     records_dir = Path(args.records_dir)
     out_dir = Path(args.out).parent
-    rows = []
+    rows, scatters = [], []
     for training_set, p, k in REPORT_CONFIGURATIONS:
         pca = read_records(records_dir / pca_records_filename(training_set, p, k))
         same_layers = read_records(records_dir / standard_records_filename(p))
@@ -174,7 +167,9 @@ def _cmd_report(args, provenance: dict) -> str:
                 compare(pca, same_params, "same_params", training_set),
             )
         )
-        write_scatter(out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params)
+        scatters.append((out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params))
+    for scatter in scatters:  # every configuration has read and compared, so a failure wrote nothing
+        write_scatter(*scatter)
     write_text_atomic(args.out, render_report(rows))
     return f"report with {len(rows)} configurations written to {args.out}"
 
@@ -252,13 +247,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage (exit code 1 here)
         return 0 if exc.code == 0 else 1
     try:
-        # the hash reads every input file and each output needs its directory, so a missing one
-        # fails before any work; results depend on numpy's arithmetic, so its version travels with them
+        # the hash reads every input file and each output must be a file in an existing directory, so a
+        # bad path fails before any work; results depend on numpy's arithmetic, so its version travels with them
         config = _args_hash(args)
         for flag in ("out", "records", "checkpoint"):
-            out_dir = Path(getattr(args, flag, None) or ".").parent
-            if not out_dir.is_dir():
-                raise ValueError(f"--{flag}: directory {str(out_dir)!r} does not exist")
+            path = getattr(args, flag, None)
+            if path is not None and not Path(path).parent.is_dir():
+                raise ValueError(f"--{flag}: directory {str(Path(path).parent)!r} does not exist")
+            if path is not None and Path(path).is_dir():
+                raise ValueError(f"--{flag}: {path!r} is a directory")
         seed = getattr(args, "seed", None)  # fit-pca, compare and report take none
         summary = args.func(args, {"config": config, "seed": seed, "numpy": np.__version__})
         when = datetime.now(timezone.utc).isoformat(timespec="seconds")

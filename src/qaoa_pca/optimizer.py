@@ -56,7 +56,7 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     """COBYLA from x0, budgeted to cfg.max_evals objective executions.
 
     Returns the best point actually visited. converged is False exactly when
-    the run stopped because the budget ran out.
+    the run stopped because the budget ran out. f must not change its argument.
     """
     evals = 0
     best_x = None
@@ -64,7 +64,6 @@ def minimize(f, x0, cfg: OptimizerConfig = OptimizerConfig()) -> OptResult:
     search = cobyla(x0, cfg.max_evals)
     x = next(search)  # x0 as float64, or ValueError for a malformed x0
     while evals < cfg.max_evals:
-        x = x.copy()  # f may keep or change its argument; the search keeps the point it yielded
         val = float(f(x))
         evals += 1
         if evals == 1 and not math.isfinite(val):

@@ -10,7 +10,6 @@ theta = mean + sum_i c_i v_i.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,17 +44,9 @@ class ParameterMatrix:
 
 
 class CoefficientVector:
-    """k coefficients as one read-only float64 array; the package builds none, it stays as a benchmark span target."""
-
-    __slots__ = ("coeffs",)
+    """k coefficients as given; the package builds none, it stays as a benchmark span target."""
 
     def __init__(self, coeffs):
-        coeffs = np.array(coeffs, dtype=np.float64)  # a copy, so the caller's array may change
-        if coeffs.ndim != 1 or coeffs.size < 1:
-            raise ValueError(f"need a flat vector of at least one coefficient, got shape {coeffs.shape}")
-        if not all(map(math.isfinite, coeffs.tolist())):
-            raise ValueError(f"coefficients must be finite, got {coeffs}")
-        coeffs.flags.writeable = False
         self.coeffs = coeffs
 
 

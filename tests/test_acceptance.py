@@ -6,6 +6,7 @@ experiment via a module fixture so the expensive part runs once.
 """
 
 import itertools
+import os
 import time
 
 import numpy as np
@@ -201,14 +202,17 @@ def test_criterion_5_statistics_oracle():
 
 @pytest.fixture(scope="module")
 def desk_scale_run():
+    # records do not depend on the worker count (test_run_training_parallel_matches_serial),
+    # so the fixture runs the process pool on every CPU this process may use
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     t0 = time.time()
-    _, X, _ = run_training(TrainingConfig(p=2), build_graph_set(5, 6, False, seed=2024))
+    _, X, _ = run_training(TrainingConfig(p=2), build_graph_set(5, 6, False, seed=2024), workers=workers)
     model = fit(X)
     eval_set = build_eval_set(7, 100, seed=2024)
     ecfg = EvalConfig(p=2, k_components=2, n_eval=7, count=100, restarts=5, seed=2024)
-    pca = evaluate_pca(ecfg, model, eval_set, X)
-    std_p2 = evaluate_standard(2, eval_set)
-    std_p1 = evaluate_standard(1, eval_set)
+    pca = evaluate_pca(ecfg, model, eval_set, X, workers=workers)
+    std_p2 = evaluate_standard(2, eval_set, workers=workers)
+    std_p1 = evaluate_standard(1, eval_set, workers=workers)
     elapsed = time.time() - t0
     return {
         "rows": X.rows.shape[0],

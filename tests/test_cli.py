@@ -68,6 +68,18 @@ def test_gen_graphs_count_needs_single_n(tmp_path, capsys):
     assert "single vertex count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [pytest.param(text, "--n expects N or LO..HI, got", id=text) for text in ("5..", "..5", "1..2..3", "5...6", "a")]
+    + [pytest.param("7..5", "--n range is empty:", id="7..5")],
+)
+def test_gen_graphs_refuses_a_malformed_n(tmp_path, capsys, text, refusal):
+    out = tmp_path / "x.graphs"
+    assert run("gen-graphs", "--n", text, "--out", out) == 1
+    assert f"{refusal} {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_flow_small(tmp_path):
     """gen-graphs -> train -> fit-pca -> evaluate (both modes) -> compare."""
     train_graphs = tmp_path / "train.graphs"
@@ -179,9 +191,12 @@ def test_evaluate_fails_on_a_missing_input_before_computing_a_graph(tmp_path, ca
         ("--components", ["--standard", "--p", "1", "--components", "2"]),
         ("--matrix", ["--standard", "--p", "1", "--matrix", "{matrix}"]),
         ("--p", ["--model", "{model}", "--components", "2", "--matrix", "{matrix}", "--p", "2"]),
+        ("--p", ["--standard"]),
+        ("--matrix", ["--model", "{model}", "--components", "2"]),
     ],
 )
 def test_evaluate_refuses_the_other_mode_s_flags(tmp_path, capsys, flag, extra):
+    """A flag of the other mode is refused, and so is a flag the chosen mode needs but lacks."""
     graphs, matrix, model = tmp_path / "g.graphs", tmp_path / "m.csv", tmp_path / "model.pca"
     graphs.write_text("# graph-set v1\n\n2 1\n0 1 1.0\n")
     matrix.write_text("graph_id,gamma_1,gamma_2,beta_1,beta_2\n"
@@ -191,7 +206,9 @@ def test_evaluate_refuses_the_other_mode_s_flags(tmp_path, capsys, flag, extra):
     ckpt, out = tmp_path / "r.ckpt", tmp_path / "r.csv"
     argv = [a.format(model=model, matrix=matrix) for a in extra]
     assert run("evaluate", "--graphs", graphs, *argv, "--checkpoint", ckpt, "--out", out, "--workers", "1") == 1
-    assert f"does not take {flag}" in capsys.readouterr().err
+    mode = "--standard" if "--standard" in extra else "without --standard"
+    refusal = "does not take" if flag in extra else "needs"
+    assert f"evaluate {mode} {refusal} {flag}" in capsys.readouterr().err
     assert not ckpt.exists() and not out.exists()
 
 @pytest.mark.parametrize("damage", ["nan mean", "nan component", "nan eigenvalue", "truncated"])
@@ -423,6 +440,15 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys):
                    "--out", tmp_path / "m.csv", "--workers", "1") == 1
         assert f"{flag}: directory {str(absent)!r} does not exist" in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
+    # an output path that names an existing directory fails the same way
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for flag in ("--out", "--records", "--checkpoint"):
+        outputs = {"--out": tmp_path / "m.csv", "--checkpoint": ckpt, flag: taken}
+        argv = [a for pair in outputs.items() for a in pair]
+        assert run("train", "--graphs", graphs, "--p", "1", "--max-evals", "60", *argv, "--workers", "1") == 1
+        assert f"{flag}: {str(taken)!r} is a directory" in capsys.readouterr().err
+        assert not ckpt.exists() and not (tmp_path / "m.csv").exists()  # no graph was computed
 
 
 def seedless_calls(tmp_path):
@@ -587,6 +613,16 @@ def test_report_structure(tmp_path, capsys):
         assert body[0] == "evals,approx_ratio,method"
         assert len(body) == 1 + 3 * 16
     capsys.readouterr()
+
+
+def test_report_writes_nothing_unless_every_configuration_reads(tmp_path, capsys):
+    records_dir = tmp_path / "runs"
+    write_report_records(records_dir)
+    ts, p, k = REPORT_CONFIGURATIONS[-1]
+    (records_dir / pca_records_filename(ts, p, k)).unlink()
+    assert run("report", "--records-dir", records_dir, "--out", tmp_path / "report.md") == 1
+    assert pca_records_filename(ts, p, k) in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["runs"]  # no scatter file, no report
 
 
 def test_report_missing_records_file(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from qaoa_pca.engine import ParameterVector
 from qaoa_pca.pca import (
-    CoefficientVector,
     ParameterMatrix,
     expand,
     fit,
@@ -35,14 +34,6 @@ def test_parameter_matrix_validation():
 def test_fit_needs_two_rows():
     with pytest.raises(ValueError, match="need at least 2 rows to fit, got 1"):
         fit(ParameterMatrix(np.zeros((1, 4))))  # one row cannot define variance
-
-
-def test_coefficient_vector_validation():
-    c = CoefficientVector((0.5, -1.0))
-    assert c.coeffs.shape == (2,) and c.coeffs.dtype == np.float64 and not c.coeffs.flags.writeable
-    for bad in ((), (float("inf"),), np.zeros((2, 1))):
-        with pytest.raises(ValueError):
-            CoefficientVector(bad)
 
 
 def test_fit_identical_rows_is_degenerate():
