@@ -247,15 +247,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad usage (exit code 1 here)
         return 0 if exc.code == 0 else 1
     try:
-        # the hash reads every input file and each output must be a file in an existing directory, so a
+        # the hash reads every input file and each output must be its own file in an existing directory, so a
         # bad path fails before any work; results depend on numpy's arithmetic, so its version travels with them
         config = _args_hash(args)
+        taken = {Path(v).resolve(): k for k, v in vars(args).items() if k in _INPUT_FILE_FLAGS and v is not None}
         for flag in ("out", "records", "checkpoint"):
             path = getattr(args, flag, None)
             if path is not None and not Path(path).parent.is_dir():
                 raise ValueError(f"--{flag}: directory {str(Path(path).parent)!r} does not exist")
             if path is not None and Path(path).is_dir():
                 raise ValueError(f"--{flag}: {path!r} is a directory")
+            other = flag if path is None else taken.setdefault(Path(path).resolve(), flag)
+            if other != flag:
+                raise ValueError(f"--{flag} and --{other} name the same file {path!r}")
         seed = getattr(args, "seed", None)  # fit-pca, compare and report take none
         summary = args.func(args, {"config": config, "seed": seed, "numpy": np.__version__})
         when = datetime.now(timezone.utc).isoformat(timespec="seconds")

@@ -1,9 +1,29 @@
-"""Reference computations the tests check the package against; the package itself needs neither."""
+"""Reference computations the tests check the package against, and the loader of the benchmark's modules."""
+
+import importlib
+import itertools
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import scipy.stats
+from scipy.linalg import expm
 
 from qaoa_pca.engine import ParameterVector
+from qaoa_pca.graphs import Graph, assign_random_weights
+from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.pca import PCAModel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_benchmark(name: str):
+    """perfbench/<name>.py, imported under its own top-level name as perfbench/run.py does, writing no bytecode."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    with mock.patch.object(sys, "dont_write_bytecode", True):
+        return importlib.import_module(name)
 
 
 def expectation(sv: np.ndarray, diag: np.ndarray) -> float:
@@ -34,3 +54,51 @@ def project(model: PCAModel, theta: ParameterVector, k: int) -> np.ndarray:
     if flat.shape != model.mean.shape:
         raise ValueError(f"parameter vector has 2p={flat.size}, model expects {model.mean.size}")
     return model.components[:k] @ (flat - model.mean)
+
+
+def layers(params):
+    """(gamma_i, beta_i) for each layer i, as Python floats."""
+    angles = params.as_array().tolist()
+    return zip(angles[: params.p], angles[params.p :])
+
+
+def random_weighted_graph(n, rng):
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = [e for e in pairs if rng.random() < 0.5]
+    if not picked:
+        picked = [pairs[int(rng.integers(len(pairs)))]]
+    return assign_random_weights(Graph(n, frozenset(picked)), seed=int(rng.integers(1 << 30)))
+
+
+def dense_objective(wg, params: ParameterVector) -> float:
+    """Independent oracle: full 2^n x 2^n matrices, mixer exponentiated densely."""
+    n = wg.graph.n
+    dim = 1 << n
+    diag = cost_diagonal(wg)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    mixer = np.zeros((dim, dim), dtype=complex)
+    for q in range(n):
+        op = np.eye(1, dtype=complex)
+        for bit in range(n):  # little-endian: bit q has stride 2^q
+            op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
+        mixer += op
+    psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
+    for gamma, beta in layers(params):
+        psi = np.exp(-1j * gamma * diag) * psi
+        psi = expm(-1j * beta * mixer) @ psi
+    return float(np.real(np.conj(psi) @ (diag * psi)))
+
+
+def exact_p_by_enumeration(diffs) -> float:
+    """Independent oracle: walk all 2^n sign patterns over scipy's average ranks."""
+    d = np.asarray(diffs, dtype=np.float64)
+    d = d[d != 0.0]
+    n = len(d)
+    ranks2 = np.round(2.0 * scipy.stats.rankdata(np.abs(d))).astype(np.int64)
+    w2 = min(int(ranks2[d > 0].sum()), int(ranks2[d < 0].sum()))
+    count = sum(
+        1
+        for bits in range(1 << n)
+        if sum(int(ranks2[i]) for i in range(n) if bits >> i & 1) <= w2
+    )
+    return min(1.0, 2.0 * count / (1 << n))

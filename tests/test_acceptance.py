@@ -5,21 +5,17 @@ assertion marks the criterion failed. Criteria 6 and 7 share one desk-scale
 experiment via a module fixture so the expensive part runs once.
 """
 
-import itertools
 import os
 import time
 
 import numpy as np
 import pytest
-import scipy.stats
-from scipy.linalg import expm
 
 from qaoa_pca.cli import main as cli_main
 from qaoa_pca.engine import ParameterVector, approximation_ratio, evolve, objective
 from qaoa_pca.graphs import (
     Graph,
     _enumerate_cached,
-    assign_random_weights,
     enumerate_connected_nonisomorphic,
     graph_id,
     unit_weights,
@@ -39,19 +35,11 @@ from qaoa_pca.pipeline import (
 )
 from qaoa_pca.stats import wilcoxon_signed_rank
 
-from oracles import project
+from oracles import dense_objective, exact_p_by_enumeration, project, random_weighted_graph
 
 
 def announce(num, text):
     print(f"\nACCEPTANCE CRITERION {num}: PASS - {text}")
-
-
-def random_weighted_graph(n, rng):
-    pairs = list(itertools.combinations(range(n), 2))
-    picked = [e for e in pairs if rng.random() < 0.5]
-    if not picked:
-        picked = [pairs[int(rng.integers(len(pairs)))]]
-    return assign_random_weights(Graph(n, frozenset(picked)), seed=int(rng.integers(1 << 30)))
 
 
 def test_criterion_1_enumeration_counts():
@@ -84,31 +72,12 @@ def test_criterion_2_engine_identity_suite():
         val = objective(cost_diagonal(wg), ParameterVector.from_array([0.0, 0.0]))
         assert abs(val + sum(wg.weights.values()) / 2) < 1e-9
 
-    # dense-matrix oracle, built here from scratch
-    def oracle(wg, pv):
-        n = wg.graph.n
-        dim = 1 << n
-        diag = cost_diagonal(wg)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        mixer = np.zeros((dim, dim), dtype=complex)
-        for q in range(n):
-            op = np.eye(1, dtype=complex)
-            for bit in range(n):
-                op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
-            mixer += op
-        psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-        angles = pv.as_array().tolist()
-        for gamma, beta in zip(angles[: pv.p], angles[pv.p :]):
-            psi = np.exp(-1j * gamma * diag) * psi
-            psi = expm(-1j * beta * mixer) @ psi
-        return float(np.real(np.conj(psi) @ (diag * psi)))
-
     for _ in range(20):
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, 4))
         wg = random_weighted_graph(n, rng)
         pv = ParameterVector.from_array(rng.uniform(-2, 2, 2 * p))
-        assert abs(objective(cost_diagonal(wg), pv) - oracle(wg, pv)) < 1e-9
+        assert abs(objective(cost_diagonal(wg), pv) - dense_objective(wg, pv)) < 1e-9
 
     announce(2, "norms within 1e-10, -W/2 identity within 1e-9, dense oracle within 1e-9")
 
@@ -168,18 +137,6 @@ def test_criterion_4_pca_suite():
 
 
 def test_criterion_5_statistics_oracle():
-    def oracle_p(d):
-        d = d[d != 0.0]
-        n = len(d)
-        ranks2 = np.round(2.0 * scipy.stats.rankdata(np.abs(d))).astype(np.int64)
-        w2 = min(int(ranks2[d > 0].sum()), int(ranks2[d < 0].sum()))
-        count = sum(
-            1
-            for bits in range(1 << n)
-            if sum(int(ranks2[i]) for i in range(n) if bits >> i & 1) <= w2
-        )
-        return min(1.0, 2.0 * count / (1 << n))
-
     rng = np.random.default_rng(55)
     checked = 0
     for _ in range(200):
@@ -190,7 +147,7 @@ def test_criterion_5_statistics_oracle():
         if not np.any(d != 0):
             continue
         res = wilcoxon_signed_rank(tuple(a), tuple(b))
-        assert res.p_value == oracle_p(d)  # exact branch must match enumeration exactly
+        assert res.p_value == exact_p_by_enumeration(d)  # exact branch must match enumeration exactly
         checked += 1
 
     up = (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)

@@ -451,6 +451,29 @@ def test_missing_output_directory_fails_before_any_work(tmp_path, capsys):
         assert not ckpt.exists() and not (tmp_path / "m.csv").exists()  # no graph was computed
 
 
+@pytest.mark.parametrize(
+    "call, other",
+    [
+        ("train --graphs t/g.graphs --p 1 --checkpoint t.ckpt --out m.csv --records m.csv", "--out"),
+        ("fit-pca --matrix m.csv --out m.csv", "--matrix"),
+        ("evaluate --graphs t/g.graphs --standard --p 1 --out m.csv --checkpoint m.csv", "--out"),
+        ("train --graphs t/g.graphs --p 1 --out m.csv --checkpoint ./t/../t/g.graphs", "--graphs"),
+    ],
+    ids=["train", "fit-pca", "evaluate", "train-checkpoint"],
+)
+def test_output_naming_another_flag_s_file_fails_before_any_work(tmp_path, monkeypatch, capsys, call, other):
+    monkeypatch.chdir(tmp_path)
+    Path("t").mkdir()
+    assert run("gen-graphs", "--n", "4", "--out", "t/g.graphs") == 0
+    write_matrix(Path("m.csv"), ["a", "b", "c"], np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]))
+    *argv, flag, path = call.split()  # the last flag is the one refused
+    before = Path(path).read_bytes()
+    assert run(*argv, flag, path, "--workers", "1") == 1
+    assert f"{flag} and {other} name the same file {path!r}" in capsys.readouterr().err
+    assert Path(path).read_bytes() == before
+    assert not Path("t.ckpt").exists()  # no graph was computed
+
+
 def seedless_calls(tmp_path):
     """A valid call of each subcommand that reads no seed, by name."""
     matrix = tmp_path / "m.csv"

@@ -8,7 +8,6 @@ and best-point rules must then give the same OptResult. The oracle below is the
 
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +16,13 @@ import scipy.optimize
 from qaoa_pca import optimizer
 from qaoa_pca.cobyla import RHOBEG, RHOEND, _trstep, cobyla
 from qaoa_pca.engine import ParameterVector, objective
-from qaoa_pca.graphs import graph_id
 from qaoa_pca.maxcut import cost_diagonal
-from qaoa_pca.optimizer import OptimizerConfig, OptResult, minimize, train_graph
-from qaoa_pca.pca import ParameterMatrix, load_model
-from qaoa_pca.pipeline import EvalConfig, build_eval_set, build_graph_set, evaluate_pca
-from qaoa_pca.records import read_matrix
+from qaoa_pca.optimizer import OptimizerConfig, OptResult, minimize
+from qaoa_pca.pipeline import build_graph_set
 
-P8_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "eval-pca-p8"
+from oracles import load_benchmark
+
+BUILDERS = load_benchmark("workloads").BUILDERS
 
 
 class _BudgetExhausted(Exception):
@@ -111,22 +109,15 @@ def check_every_start(monkeypatch):
 
 
 def test_train_p2_graphs_every_tqa_start(check_every_start):
-    # the first two unit-weight graphs on 5 and on 6 vertices of the benchmark's train-p2 workload
-    every = build_graph_set(5, 6, weighted=False, seed=2024)
-    graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:2]]
-    for wg in graphs:
-        train_graph(wg, graph_id(wg.graph), 2)
-    assert len(check_every_start) == 20
+    serial = BUILDERS["train-p2"]()
+    serial.stage(serial.graphs, None)
+    assert len(check_every_start) == 20  # two unit-weight graphs on 5 and on 6 vertices, 5 TQA starts each
 
 
 def test_eval_pca_p8_starts(check_every_start):
-    # the first three graphs of the benchmark's eval-pca-p8 workload, 5 PCA restarts each
-    model = load_model(P8_INPUTS / "p8_model.pca")
-    training = ParameterMatrix(read_matrix(P8_INPUTS / "p8_matrix.csv")[1])
-    graphs = build_eval_set(8, 12, seed=2024)[:3]
-    cfg = EvalConfig(p=8, k_components=2, restarts=5, seed=2024)
-    evaluate_pca(cfg, model, graphs, training, OptimizerConfig(), workers=1)
-    assert len(check_every_start) == 15
+    serial = BUILDERS["eval-pca-p8"]()
+    serial.stage(serial.graphs[:3], None)
+    assert len(check_every_start) == 15  # the workload's first three graphs, 5 PCA restarts each
 
 
 def qaoa_objective(wg):

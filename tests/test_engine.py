@@ -1,11 +1,9 @@
-import itertools
 import math
 import time
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from qaoa_pca.engine import (
     ParameterVector,
@@ -13,43 +11,10 @@ from qaoa_pca.engine import (
     evolve,
     objective,
 )
-from qaoa_pca.graphs import Graph, assign_random_weights, unit_weights
+from qaoa_pca.graphs import Graph, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
 
-from oracles import expectation
-
-
-def random_weighted_graph(n, rng):
-    pairs = list(itertools.combinations(range(n), 2))
-    picked = [e for e in pairs if rng.random() < 0.5]
-    if not picked:
-        picked = [pairs[int(rng.integers(len(pairs)))]]
-    return assign_random_weights(Graph(n, frozenset(picked)), seed=int(rng.integers(1 << 30)))
-
-
-def layers(params):
-    """(gamma_i, beta_i) for each layer i, as Python floats."""
-    angles = params.as_array().tolist()
-    return zip(angles[: params.p], angles[params.p :])
-
-
-def dense_objective(wg, params):
-    """Independent oracle: full 2^n x 2^n matrices, mixer exponentiated densely."""
-    n = wg.graph.n
-    dim = 1 << n
-    diag = cost_diagonal(wg)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    mixer = np.zeros((dim, dim), dtype=complex)
-    for q in range(n):
-        op = np.eye(1, dtype=complex)
-        for bit in range(n):  # little-endian: bit q has stride 2^q
-            op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
-        mixer += op
-    psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    for gamma, beta in layers(params):
-        psi = np.exp(-1j * gamma * diag) * psi
-        psi = expm(-1j * beta * mixer) @ psi
-    return float(np.real(np.conj(psi) @ (diag * psi)))
+from oracles import dense_objective, expectation, layers, random_weighted_graph
 
 
 def reference_evolve(diag, params):

@@ -1,11 +1,10 @@
 """The paper's metric, pinned: the benchmark's train-p2 and eval-pca-p8 records, rebuilt.
 
 Evaluation counts are the paper's metric, and only the benchmark's
-reference comparison checked them. Here each workload's stage runs once,
-built as perfbench/workloads.py builds it (`build_train_p2`,
-`build_eval_pca_p8`: generator seed 2024, the same graphs, configs and
-checked-in inputs), with workers=1 and no checkpoint. Every record must have
-the evaluation count of perfbench/reference/<workload>.json, and a ratio
+reference comparison checked them. Here each workload's stage runs once, as
+perfbench/workloads.py's own `BUILDERS` build it (loaded read-only by
+`oracles.load_benchmark`), with workers=1 and no checkpoint. Every record must
+have the evaluation count of perfbench/reference/<workload>.json, and a ratio
 within 1e-9 of it. The references hold no angles, so a digest of the
 winners' `best_params` is pinned too: a change that keeps the counts but
 moves the winning angles fails.
@@ -22,20 +21,13 @@ under perfbench/ is written.
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qaoa_pca.optimizer import OptimizerConfig
-from qaoa_pca.pca import ParameterMatrix, load_model
-from qaoa_pca.pipeline import EvalConfig, TrainingConfig, build_eval_set, build_graph_set, evaluate_pca, run_training
-from qaoa_pca.records import read_matrix
+from oracles import PERFBENCH, load_benchmark
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-GEN_SEED = 2024  # workloads.GEN_SEED
-TRAIN_PER_N = 2  # workloads.TRAIN_PER_N
-EVAL_P8_GRAPHS = 12  # workloads.EVAL_P8_GRAPHS
+BUILDERS = load_benchmark("workloads").BUILDERS
 RATIO_TOL = 1e-9  # checks.reference_match_frac's tolerance
 KERNEL = "numpy 2.4.6, OpenBLAS 0.3.31 SkylakeX kernel"
 
@@ -46,25 +38,6 @@ PARAMS_SHA256 = {
 }
 
 
-def train_p2():
-    cfg = TrainingConfig(training_set="unweighted", p=2, vertex_range=(5, 6), seed=GEN_SEED)
-    every = build_graph_set(5, 6, weighted=False, seed=GEN_SEED)
-    graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:TRAIN_PER_N]]
-    return run_training(cfg, graphs=graphs, checkpoint_path=None, workers=1)[2]
-
-
-def eval_pca_p8():
-    inputs = PERFBENCH / "inputs" / "eval-pca-p8"
-    model = load_model(inputs / "p8_model.pca")
-    _, rows = read_matrix(inputs / "p8_matrix.csv")
-    graphs = build_eval_set(8, EVAL_P8_GRAPHS, seed=GEN_SEED)
-    cfg = EvalConfig(
-        p=8, k_components=2, n_eval=8, count=EVAL_P8_GRAPHS, restarts=5, seed=GEN_SEED,
-        model_ref="p8_model.pca",
-    )
-    return evaluate_pca(cfg, model, graphs, ParameterMatrix(rows), OptimizerConfig(), checkpoint_path=None, workers=1)
-
-
 def params_digest(records) -> str:
     h = hashlib.sha256()
     for rec in sorted(records, key=lambda r: r.graph_id):
@@ -72,11 +45,12 @@ def params_digest(records) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("workload, stage", [("train-p2", train_p2), ("eval-pca-p8", eval_pca_p8)])
-def test_records_equal_the_benchmark_reference(workload, stage):
+@pytest.mark.parametrize("workload", ["train-p2", "eval-pca-p8"], ids=["train-p2-train_p2", "eval-pca-p8-eval_pca_p8"])
+def test_records_equal_the_benchmark_reference(workload):
     with open(PERFBENCH / "reference" / f"{workload}.json", encoding="utf-8") as fh:
         reference = {r["graph_id"]: r for r in json.load(fh)["records"]}
-    records = stage()
+    serial = BUILDERS[workload]()
+    records = serial.stage(serial.graphs, None)
     where = f"{workload} (references made with {KERNEL}; another BLAS kernel moves the counts)"
     assert sorted(rec.graph_id for rec in records) == sorted(reference), where
     for rec in records:

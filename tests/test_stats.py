@@ -4,22 +4,7 @@ import scipy.stats
 
 from qaoa_pca.stats import EXACT_LIMIT, wilcoxon_signed_rank
 
-
-def exact_p_by_enumeration(diffs):
-    """Independent oracle: walk all 2^n sign patterns over scipy's average ranks."""
-    d = np.asarray(diffs, dtype=np.float64)
-    d = d[d != 0.0]
-    n = len(d)
-    ranks2 = np.round(2.0 * scipy.stats.rankdata(np.abs(d))).astype(np.int64)
-    w2_plus = int(ranks2[d > 0].sum())
-    w2_minus = int(ranks2[d < 0].sum())
-    w2 = min(w2_plus, w2_minus)
-    count = 0
-    for bits in range(1 << n):
-        s = sum(int(ranks2[i]) for i in range(n) if bits >> i & 1)
-        if s <= w2:
-            count += 1
-    return min(1.0, 2.0 * count / (1 << n))
+from oracles import exact_p_by_enumeration
 
 
 def test_sample_validation():
