@@ -5,7 +5,6 @@ Tier-1 loads perfbench/checks.py, spans.py and workloads.py read-only (`oracles.
 """
 
 import ast
-import functools
 import importlib
 import sys
 
@@ -24,21 +23,32 @@ spans = load_benchmark("spans")
 workloads = load_benchmark("workloads")
 
 
-def test_tracer_counts_every_objective_call_of_both_evaluations():
-    # install raises on a target it cannot find; run.py checks minimize_evals against the objective spans
+def test_every_traced_target_resolves():
+    assert spans.TRACED
     for name, modname, attr in spans.TRACED:
-        target = functools.reduce(getattr, attr.split("."), importlib.import_module(modname))
-        assert callable(target), f"{name}: {modname}.{attr} is not a callable"
+        owner = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, member = attr.split(".")
+            cls = getattr(owner, cls_name, None)
+            assert cls is not None and member in vars(cls), f"{name}: {modname}.{attr} is not in the class dict"
+        else:
+            assert callable(getattr(owner, attr, None)), f"{name}: {modname}.{attr} is not a callable"
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_objective_observer_reads_the_layer_count(reduced):
+    # run.py checks minimize_evals against the objective spans; amp_updates reads params.p of each call
     graphs = build_graph_set(4, 4, weighted=False, seed=2024)[:2]
     cfg = OptimizerConfig(max_evals=15)
-    X = ParameterMatrix(np.random.default_rng(0).uniform(-1, 1, (6, 4)))
-    ecfg = EvalConfig(p=2, k_components=2, restarts=2, seed=2024)
     tracer = spans.Tracer()
     tracer.install()
     try:
         tracer.active = True
-        evaluate_pca(ecfg, fit(X), graphs, X, cfg)
-        evaluate_standard(2, graphs, cfg)
+        if reduced:
+            X = ParameterMatrix(np.random.default_rng(0).uniform(-1, 1, (6, 4)))
+            evaluate_pca(EvalConfig(p=2, k_components=2, restarts=2, seed=2024), fit(X), graphs, X, cfg)
+        else:
+            evaluate_standard(2, graphs, cfg)
     finally:
         tracer.uninstall()
     calls = tracer.summary()["engine.objective"]["calls"]
