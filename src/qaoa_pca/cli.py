@@ -156,18 +156,25 @@ def _cmd_compare(args, provenance: dict) -> str:
 def _cmd_report(args, provenance: dict) -> str:
     records_dir = Path(args.records_dir)
     out_dir = Path(args.out).parent
+    configs = [  # per configuration: its training set, the records it reads, the scatter file it writes
+        (ts, records_dir / pca_records_filename(ts, p, k), records_dir / standard_records_filename(p),
+         records_dir / standard_records_filename(k // 2), out_dir / scatter_filename(ts, p, k))
+        for ts, p, k in REPORT_CONFIGURATIONS
+    ]
+    if Path(args.out).resolve() in {path.resolve() for _, *paths in configs for path in paths}:
+        raise ValueError(f"--out {args.out!r} is a records file report reads or a scatter file it writes")
     rows, scatters = [], []
-    for training_set, p, k in REPORT_CONFIGURATIONS:
-        pca = read_records(records_dir / pca_records_filename(training_set, p, k))
-        same_layers = read_records(records_dir / standard_records_filename(p))
-        same_params = read_records(records_dir / standard_records_filename(k // 2))
+    for training_set, pca_path, layers_path, params_path, scatter_path in configs:
+        pca = read_records(pca_path)
+        same_layers = read_records(layers_path)
+        same_params = read_records(params_path)
         rows.append(
             (
                 compare(pca, same_layers, "same_layers", training_set),
                 compare(pca, same_params, "same_params", training_set),
             )
         )
-        scatters.append((out_dir / scatter_filename(training_set, p, k), pca, same_layers, same_params))
+        scatters.append((scatter_path, pca, same_layers, same_params))
     for scatter in scatters:  # every configuration has read and compared, so a failure wrote nothing
         write_scatter(*scatter)
     write_text_atomic(args.out, render_report(rows))

@@ -23,9 +23,9 @@ axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's partner in
 its place. The top qubit pairs x with x + 2^(n-1), whose amplitude is that
 of its complement 2^(n-1) - 1 - x, so its swapped view is the reversal
 psi[::-1]. Either way
-one qubit's butterfly is three calls: a = c * psi, b = s * swapped,
-psi = a - b. Every amplitude gets the same two complex products and the same
-subtraction, in the same operand order, as a per-half update
+one qubit's butterfly is three calls: b = s * swapped, then psi = c * psi
+and psi = psi - b in place. Every amplitude gets the same two complex
+products and the same subtraction, in the same operand order, as a per-half update
 (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) of the full state would give it,
 so the state is the same bit for bit. A layer costs 5 + 3n numpy calls on
 2^(n-1) amplitudes.
@@ -96,7 +96,7 @@ def _qubit_count(size: int) -> int:
 class _Buffers:
     """Every array and view that one evaluation of a `size`-amplitude state writes.
 
-    psi, phase and the scratch a and b hold the half state. g, c and s hold a
+    psi, phase and the scratch b hold the half state. g, c and s hold a
     layer's scalars -i gamma, cos(beta) and i sin(beta) as 0-d complex arrays,
     which a ufunc takes with less overhead than a Python or numpy scalar, and
     with the same value. butterflies holds (swapped view of psi, b in its
@@ -106,7 +106,7 @@ class _Buffers:
     """
 
     __slots__ = (
-        "amp0", "psi", "phase", "a", "b", "g", "c", "s", "butterflies",
+        "amp0", "psi", "phase", "b", "g", "c", "s", "butterflies",
         "parts", "squares", "re2", "im2", "prob", "low", "high", "mirror",
     )
 
@@ -114,7 +114,7 @@ class _Buffers:
         n = _qubit_count(size)
         half = size >> 1
         self.amp0 = 1.0 / np.sqrt(size)
-        self.psi, self.phase, self.a, self.b = (np.empty(half, dtype=np.complex128) for _ in range(4))
+        self.psi, self.phase, self.b = (np.empty(half, dtype=np.complex128) for _ in range(3))
         self.g, self.c, self.s = (np.empty((), dtype=np.complex128) for _ in range(3))
         self.butterflies = []
         for q in range(n - 1):
@@ -140,7 +140,7 @@ def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
     # compared as bytes, since a -0.0 facing a 0.0 would already give other bits than the full state
     if diag.tobytes() != diag[::-1].tobytes():
         raise ValueError("the diagonal must be unchanged by flipping every bit: diag[x] == diag[size - 1 - x]")
-    psi, phase, a, b, g, c, s = buf.psi, buf.phase, buf.a, buf.b, buf.g, buf.c, buf.s
+    psi, phase, b, g, c, s = buf.psi, buf.phase, buf.b, buf.g, buf.c, buf.s
     low = diag[: psi.size]
     psi.fill(buf.amp0)
     angles = params.as_array().tolist()
@@ -152,9 +152,9 @@ def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
         c[()] = np.cos(beta)
         s[()] = 1j * np.sin(beta)
         for swapped, bv in buf.butterflies:
-            np.multiply(c, psi, a)
-            np.multiply(s, swapped, bv)
-            np.subtract(a, b, psi)
+            np.multiply(s, swapped, bv)  # before psi changes, since swapped views it
+            np.multiply(c, psi, psi)
+            np.subtract(psi, b, psi)
     return buf
 
 

@@ -101,7 +101,8 @@ class Checkpoint:
     KeyError, TypeError or ValueError: a blank line, a line torn by a cut-off run,
     JSON other than an object, an object whose graph id is missing or not in
     `keys`, a line under another key, and a record with a field missing or refused
-    by `RunRecord`. The first `add` ends a torn final line with a newline.
+    by `RunRecord`. Each `add` opens the file, appends one line and closes it, so
+    no file stays open between records; the first ends a torn final line with a newline.
     """
 
     def __init__(self, path, keys: dict[str, str]):
@@ -125,21 +126,12 @@ class Checkpoint:
                     )
             except (KeyError, TypeError, ValueError):  # a line the class docstring lists
                 continue
-        self._fh = None
 
     def add(self, rec: RunRecord) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if self._torn:
-                self._fh.write("\n")
-                self._torn = False
-        self._fh.write(json.dumps({"config": self.keys[rec.graph_id], **asdict(rec)}) + "\n")
-        self._fh.flush()  # a killed run keeps every finished graph
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        line = json.dumps({"config": self.keys[rec.graph_id], **asdict(rec)}) + "\n"
+        with open(self.path, "a", encoding="utf-8") as fh:  # a killed run keeps every finished graph
+            fh.write("\n" + line if self._torn else line)
+        self._torn = False
 
 
 def _attach_weights(graphs: list[Graph], weighted: bool, seed: int) -> list[WeightedGraph]:
@@ -240,14 +232,10 @@ def _run_stage(
             keys[gid] = h.hexdigest()[:16]
         checkpoint = Checkpoint(checkpoint_path, keys)
         done = dict(checkpoint.done)
-    try:
-        for rec in _map_tasks(fn, [(wg, gid, *shared) for gid, wg in todo.items() if gid not in done], workers):
-            done[rec.graph_id] = rec
-            if checkpoint:
-                checkpoint.add(rec)
-    finally:
+    for rec in _map_tasks(fn, [(wg, gid, *shared) for gid, wg in todo.items() if gid not in done], workers):
+        done[rec.graph_id] = rec
         if checkpoint:
-            checkpoint.close()
+            checkpoint.add(rec)
     return {gid: done[gid] for gid in todo}
 
 

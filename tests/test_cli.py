@@ -648,6 +648,20 @@ def test_report_writes_nothing_unless_every_configuration_reads(tmp_path, capsys
     assert sorted(f.name for f in tmp_path.iterdir()) == ["runs"]  # no scatter file, no report
 
 
+@pytest.mark.parametrize("target", ["records", "scatter"])
+def test_report_refuses_out_that_is_one_of_its_own_files(tmp_path, capsys, target):
+    # the report must overwrite neither a records file it reads nor a scatter file it writes
+    records_dir = tmp_path / "runs"
+    write_report_records(records_dir)
+    before = {f.name: f.read_bytes() for f in records_dir.iterdir()}
+    ts, p, k = REPORT_CONFIGURATIONS[0]
+    out = records_dir / standard_records_filename(p) if target == "records" else tmp_path / scatter_filename(ts, p, k)
+    assert run("report", "--records-dir", records_dir, "--out", out) == 1
+    assert "--out" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in records_dir.iterdir()} == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["runs"]  # no scatter file, no report
+
+
 def test_report_missing_records_file(tmp_path, capsys):
     records_dir = tmp_path / "runs"
     records_dir.mkdir()

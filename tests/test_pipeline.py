@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qaoa_pca import pipeline
 from qaoa_pca.engine import ParameterVector, approximation_ratio, objective
 from qaoa_pca.graphs import Graph, graph_id, unit_weights
 from qaoa_pca.maxcut import brute_force_cmin, cost_diagonal
-from qaoa_pca.optimizer import OptimizerConfig
+from qaoa_pca.optimizer import OptimizerConfig, train_graph
 from qaoa_pca.pca import ParameterMatrix, PCAModel, fit
 from qaoa_pca.pipeline import (
     Checkpoint,
@@ -233,7 +234,6 @@ def test_checkpoint_ignores_other_configs_and_torn_lines(tmp_path):
     ck = Checkpoint(path, keys)
     rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
     ck.add(rec)
-    ck.close()
     with open(path, "a") as fh:
         fh.write('{"config": "cfg-b", "graph_id": "n04k000000000008", "method": "standard",'
                  ' "layers": 1, "param_count": 2, "evals": 3, "approx_ratio": 0.4, "best_params": [0, 0]}\n')
@@ -253,7 +253,6 @@ def test_checkpoint_skips_json_lines_that_are_not_records(tmp_path):
     rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
     ck = Checkpoint(path, keys)
     ck.add(rec)
-    ck.close()
     good = path.read_text()
     path.write_text('123\n[1, 2]\n"text"\nnull\n{"config": "cfg-a", "graph_id": [1]}\n' + good)
     assert Checkpoint(path, keys).done == {rec.graph_id: rec}
@@ -337,14 +336,50 @@ def test_checkpoint_record_visible_before_close(tmp_path):
     ck = Checkpoint(path, keys)
     rec = RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2))
     ck.add(rec)
-    try:
-        assert Checkpoint(path, keys).done == {rec.graph_id: rec}
-    finally:
-        ck.close()
+    assert Checkpoint(path, keys).done == {rec.graph_id: rec}
     assert path.read_text() == (
         '{"config": "cfg-a", "graph_id": "n04k000000000007", "method": "standard", "layers": 1,'
         ' "param_count": 2, "evals": 9, "approx_ratio": 0.5, "best_params": [0.1, 0.2]}\n'
     )
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_checkpoint_add_leaves_no_file_open(tmp_path):
+    path = tmp_path / "shut.ckpt"
+    keys = {"n04k000000000007": "cfg-a"}
+    ck = Checkpoint(path, keys)  # kept alive, so that no collected handle closes the file for it
+    ck.add(RunRecord("n04k000000000007", "standard", 1, 2, 9, 0.5, (0.1, 0.2)))
+    assert path.resolve() not in {fd.resolve() for fd in Path("/proc/self/fd").iterdir()}
+
+
+def test_stage_that_fails_partway_keeps_what_it_finished(tmp_path, monkeypatch):
+    ckpt = tmp_path / "train.ckpt"
+    cfg = small_training_cfg()
+    graphs = small_training_set()
+    fresh = run_training(cfg, graphs=graphs)
+    calls, failing = [], [True]
+
+    def counted(wg, gid, *shared):  # one function for both runs: its name is part of the checkpoint key
+        if failing[0] and len(calls) == 2:
+            raise RuntimeError("the third graph fails")
+        calls.append(gid)
+        return train_graph(wg, gid, *shared)
+
+    monkeypatch.setattr(pipeline, "train_graph", counted)
+    with pytest.raises(RuntimeError, match="third graph"):
+        run_training(cfg, graphs=graphs, checkpoint_path=ckpt)
+    lines = ckpt.read_text().splitlines(keepends=True)
+    assert len(lines) == 2
+    assert [json.loads(line)["graph_id"] for line in lines] == calls
+    assert all(line.endswith("\n") for line in lines)
+
+    calls.clear()
+    failing[0] = False
+    resumed = run_training(cfg, graphs=graphs, checkpoint_path=ckpt)
+    assert calls == [graph_id(wg.graph) for wg in graphs[2:]]
+    assert resumed[0] == fresh[0]
+    assert np.array_equal(resumed[1].rows, fresh[1].rows)
+    assert resumed[2] == fresh[2]
 
 
 def key_of(obj) -> str:
