@@ -109,7 +109,13 @@ def _cmd_fit_pca(args, provenance: dict) -> str:
     _, rows = read_matrix(args.matrix)
     model = fit(ParameterMatrix(rows))
     save_model(args.out, model)
-    note = " (degenerate: zero variance)" if model.degenerate else ""
+    if model.degenerate:
+        note = " (degenerate: zero variance)"
+    else:
+        share = np.cumsum(model.eigenvalues) / model.eigenvalues.sum()
+        ks = [k for k in (2, 4, 8) if k <= 2 * model.p]
+        note = (f"; training variance in the first {'/'.join(map(str, ks))} components"
+                f" {'/'.join(f'{share[k - 1]:.4f}' for k in ks)}")
     return f"fit {2 * model.p}-component model at p={model.p}{note}"
 
 

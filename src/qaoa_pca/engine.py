@@ -100,9 +100,9 @@ class _Buffers:
     layer's scalars -i gamma, cos(beta) and i sin(beta) as 0-d complex arrays,
     which a ufunc takes with less overhead than a Python or numpy scalar, and
     with the same value. butterflies holds (swapped view of psi, b in its
-    shape) per qubit. squares holds the squared parts of the half, interleaved
-    (re2 and im2 view them), and prob all `size` probabilities: low, the
-    half's, then high, their mirror image.
+    shape) per qubit. squares views the spent phase as the half's squared
+    parts, interleaved (re2 and im2 view them), and prob holds all `size`
+    probabilities: low, the half's, then high, their mirror image.
     """
 
     __slots__ = (
@@ -122,7 +122,7 @@ class _Buffers:
             self.butterflies.append((self.psi.reshape(shape)[:, ::-1, :], self.b.reshape(shape)))
         self.butterflies.append((self.psi[::-1], self.b))  # the top qubit: x's partner has the amplitude at half - 1 - x
         self.parts = self.psi.view(np.float64)  # re_0, im_0, re_1, im_1, ...
-        self.squares = np.empty(size, dtype=np.float64)
+        self.squares = self.phase.view(np.float64)
         self.re2, self.im2 = self.squares[0::2], self.squares[1::2]
         self.prob = np.empty(size, dtype=np.float64)
         self.low, self.high = self.prob[:half], self.prob[half:]

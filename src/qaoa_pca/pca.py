@@ -22,21 +22,9 @@ MODEL_FORMAT = "pca-model/1"
 
 @dataclass(frozen=True)
 class ParameterMatrix:
-    """Stack of trained length-2p parameter rows, one per training graph."""
+    """Trained float64 rows of 2p angles, one per graph, as `records.read_matrix` or `RunRecord` checked them."""
 
     rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-d, got shape {rows.shape}")
-        if rows.shape[0] < 1:
-            raise ValueError("need at least one row")
-        if rows.shape[1] < 2 or rows.shape[1] % 2 != 0:
-            raise ValueError(f"row length must be even 2p >= 2, got {rows.shape[1]}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("rows contain non-finite entries")
-        object.__setattr__(self, "rows", rows)
 
     @property
     def p(self) -> int:

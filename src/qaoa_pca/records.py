@@ -175,18 +175,16 @@ def matrix_fields(p: int) -> list[str]:
 
 def write_matrix(path, graph_ids: list[str], rows: np.ndarray, provenance: dict | None = None) -> None:
     """Parameter-matrix CSV: one row of 2p angles per graph, gamma block then beta block."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] != len(graph_ids) or rows.shape[1] % 2 != 0:
-        raise ValueError(f"matrix shape {rows.shape} inconsistent with {len(graph_ids)} graph ids")
     p = rows.shape[1] // 2
     body = ([gid] + [_fmt(x) for x in row] for gid, row in zip(graph_ids, rows))
     _write_csv(path, matrix_fields(p), body, provenance)
 
 
 def read_matrix(path) -> tuple[list[str], np.ndarray]:
+    """The graph ids and the float64 (rows, 2p) angles of a matrix file: one row or more, of 2p >= 2 finite angles."""
     rows = _read_csv(path)
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header and at least one row of angles, got {len(rows)} lines")
     header = rows[0]
     p = (len(header) - 1) // 2
     if p < 1 or header != matrix_fields(p):
@@ -201,7 +199,7 @@ def read_matrix(path) -> tuple[list[str], np.ndarray]:
         except ValueError as exc:
             raise ValueError(f"{path}: bad row {row!r}: {exc}") from None
         ids.append(row[0])
-    return ids, np.array(data, dtype=np.float64).reshape(len(ids), 2 * p)
+    return ids, np.array(data, dtype=np.float64)
 
 
 def write_comparison(path, row: ComparisonRow) -> None:

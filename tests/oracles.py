@@ -8,11 +8,9 @@ from unittest import mock
 
 import numpy as np
 import scipy.stats
-from scipy.linalg import expm
 
 from qaoa_pca.engine import ParameterVector
 from qaoa_pca.graphs import Graph, assign_random_weights
-from qaoa_pca.maxcut import cost_diagonal
 from qaoa_pca.pca import PCAModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -71,22 +69,9 @@ def random_weighted_graph(n, rng):
 
 
 def dense_objective(wg, params: ParameterVector) -> float:
-    """Independent oracle: full 2^n x 2^n matrices, mixer exponentiated densely."""
-    n = wg.graph.n
-    dim = 1 << n
-    diag = cost_diagonal(wg)
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    mixer = np.zeros((dim, dim), dtype=complex)
-    for q in range(n):
-        op = np.eye(1, dtype=complex)
-        for bit in range(n):  # little-endian: bit q has stride 2^q
-            op = np.kron(x, op) if bit == q else np.kron(np.eye(2, dtype=complex), op)
-        mixer += op
-    psi = np.full(dim, 1 / np.sqrt(dim), dtype=complex)
-    for gamma, beta in layers(params):
-        psi = np.exp(-1j * gamma * diag) * psi
-        psi = expm(-1j * beta * mixer) @ psi
-    return float(np.real(np.conj(psi) @ (diag * psi)))
+    """Independent oracle: perfbench/checks.py's dense-matrix statevector and its own energies."""
+    psi, energy = load_benchmark("checks").dense_statevector(wg.graph.n, wg.weights, params.as_array())
+    return float(np.real(np.vdot(psi, energy * psi)))
 
 
 def exact_p_by_enumeration(diffs) -> float:

@@ -23,6 +23,8 @@ from qaoa_pca.pipeline import (
 )
 from qaoa_pca.records import RunRecord, read_comparison, read_matrix, read_records, write_matrix, write_records
 
+from oracles import PERFBENCH
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -160,6 +162,44 @@ def test_train_takes_a_one_graph_set_and_fit_pca_refuses_its_matrix(tmp_path, ca
     assert rows.shape == (1, 2) and [r.graph_id for r in read_records(records)] == ids
     assert run("fit-pca", "--matrix", matrix, "--out", tmp_path / "model.pca") == 1
     assert "need at least 2 rows to fit, got 1" in capsys.readouterr().err
+
+
+def test_fit_pca_logs_the_training_variance_of_the_first_components(tmp_path, capsys):
+    # on stderr only: the model keeps the bytes of the checked-in one
+    inputs = PERFBENCH / "inputs" / "eval-pca-p8"
+    model = tmp_path / "p8_model.pca"
+    assert run("fit-pca", "--matrix", inputs / "p8_matrix.csv", "--out", model) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "fit 16-component model at p=8; training variance in the first 2/4/8 components 0.3878/0.6507/0.8666"
+    )
+    assert model.read_bytes() == (inputs / "p8_model.pca").read_bytes()
+    # only k <= 2p, and a degenerate model names no share
+    for rows, summary in [
+        ([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]], "fit 2-component model at p=1; training variance in the first 2"
+         " components 1.0000"),
+        ([[0.1, 0.2, 0.3, 0.4]] * 2, "fit 4-component model at p=2 (degenerate: zero variance)"),
+    ]:
+        write_matrix(tmp_path / "m.csv", [f"g{i}" for i in range(len(rows))], np.array(rows))
+        assert run("fit-pca", "--matrix", tmp_path / "m.csv", "--out", model) == 0
+        assert capsys.readouterr().err.splitlines()[-1] == summary
+
+
+def test_a_matrix_file_without_rows_fails_naming_it(tmp_path, capsys):
+    full, empty, model = tmp_path / "m.csv", tmp_path / "empty.csv", tmp_path / "model.pca"
+    write_matrix(full, ["a", "b", "c"], np.array([[0.1, 0.2, 0.3, 0.4], [0.3, 0.1, 0.2, 0.2], [0.2, 0.4, 0.1, 0.3]]))
+    assert run("fit-pca", "--matrix", full, "--out", model) == 0
+    assert run("gen-graphs", "--n", "4", "--out", tmp_path / "g.graphs") == 0
+    empty.write_text("# config deadbeef\ngraph_id,gamma_1,gamma_2,beta_1,beta_2\n")
+    out = tmp_path / "out"
+    for argv in (
+        ["fit-pca", "--matrix", empty],
+        ["evaluate", "--graphs", tmp_path / "g.graphs", "--model", model, "--components", "1", "--matrix", empty],
+    ):
+        capsys.readouterr()
+        assert run(*argv, "--out", out, "--workers", "1") == 1
+        err = capsys.readouterr().err
+        assert f"error: {empty}: expected a header and at least one row of angles, got 1 lines" in err
+        assert not out.exists()
 
 
 def test_evaluate_standard_takes_only_the_training_depths(tmp_path, capsys):

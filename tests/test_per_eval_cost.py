@@ -1,11 +1,14 @@
-"""tools/per_eval_cost.py: one interleaved round of this tree against itself, and its refusal of an engine that differs."""
+"""tools/per_eval_cost.py: one interleaved round of this tree against itself, its spreads, and its refusal of an engine
+that differs."""
 
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,7 +45,20 @@ def test_per_eval_cost_runs_one_round(tmp_path):
     cells = result["objective_us_per_call"]
     assert sorted(cells) == sorted(f"n={n},p={p}" for n in range(4, 9) for p in (1, 2, 4, 8))
     assert all(c["base"] > 0 and c["head"] > 0 for c in cells.values())
+    # one round has no spread: every interquartile range is there, and 0
+    spreads = [c[f"{t}_iqr"] for c in (result["minimize_us_per_eval"], *cells.values()) for t in ("base", "head")]
+    assert spreads and all(s == 0 for s in spreads)
     assert "COBYLA + minimize" in out.stderr
+
+
+def test_compare_gives_each_tree_s_interquartile_range():
+    spec = importlib.util.spec_from_file_location("per_eval_cost", ROOT / "tools" / "per_eval_cost.py")
+    tool = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):  # the tool sets it for the process
+        spec.loader.exec_module(tool)
+    got = tool.compare({"base": [5.0, 1.0, 4.0, 2.0, 3.0], "head": [2.0, 2.0, 2.0]})
+    assert got == {"base": 3.0, "head": 2.0, "base_iqr": 2.0, "head_iqr": 0.0, "head_faster_rounds": 2}
+    assert tool.cell(got, 1) == "3.0 [2.0] -> 2.0 [0.0]"
 
 
 @pytest.mark.parametrize("name", ["objective", "evolve"])

@@ -329,7 +329,7 @@ def test_checkpoint_torn_tail_does_not_swallow_next_record(tmp_path):
     assert again[2] == full[2]
 
 
-def test_checkpoint_record_visible_before_close(tmp_path):
+def test_checkpoint_add_writes_the_record_at_once(tmp_path):
     # every finished graph reaches the file at once, so a killed run loses none
     path = tmp_path / "live.ckpt"
     keys = {"n04k000000000007": "cfg-a"}

@@ -114,11 +114,18 @@ def test_matrix_round_trip_exact(tmp_path):
     assert np.array_equal(got_rows, rows)
 
 
-def test_matrix_shape_mismatch(tmp_path):
-    with pytest.raises(ValueError):
-        write_matrix(tmp_path / "m.csv", ["a", "b"], np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        write_matrix(tmp_path / "m.csv", ["a"], np.zeros((1, 3)))
+@pytest.mark.parametrize(
+    "text, lines",
+    [("", 0), ("# config deadbeef\n", 0), ("# config deadbeef\ngraph_id,gamma_1,beta_1\n", 1)],
+    ids=["empty", "comment", "header"],
+)
+def test_matrix_without_rows_names_the_file(tmp_path, text, lines):
+    # a matrix is one row of angles or more
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_matrix(path)
+    assert str(exc.value) == f"{path}: expected a header and at least one row of angles, got {lines} lines"
 
 
 def test_matrix_bad_header(tmp_path):

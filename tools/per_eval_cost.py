@@ -20,9 +20,11 @@ both run side by side on the same numpy. Two costs are measured:
 
 The head tree is this checkout's `src`; `--base` names the other. Round r
 times the base tree first when r is even and the head tree first when it is
-odd. Medians over the rounds go to stderr as a table; the last stdout
-line is one JSON object with them, the rounds the head tree was faster in,
-nproc and the Python and numpy versions.
+odd. Each tree's median and interquartile range over the rounds (0 for one
+round) go to stderr as a table; the last stdout line is one JSON object with
+them, the rounds the head tree was faster in, nproc and the Python and numpy
+versions. A cell whose medians differ by less than their ranges is within the
+host's noise.
 """
 
 from __future__ import annotations
@@ -157,14 +159,30 @@ def time_objective(tree: dict, diag, theta) -> float:
     return (clock() - t0) / OBJECTIVE_CALLS * 1e6
 
 
+def iqr(xs: list[float]) -> float:
+    """Distance between the first and third quartiles of xs; 0 for a single sample."""
+    if len(xs) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q3 - q1
+
+
 def compare(samples: dict) -> dict:
-    """Medians of both trees' samples, and the rounds in which head was faster."""
+    """Medians and interquartile ranges of both trees' samples, and the rounds in which head was faster."""
     base, head = samples["base"], samples["head"]
     return {
         "base": round(statistics.median(base), 2),
         "head": round(statistics.median(head), 2),
+        "base_iqr": round(iqr(base), 2),
+        "head_iqr": round(iqr(head), 2),
         "head_faster_rounds": sum(h < b for b, h in zip(base, head)),
     }
+
+
+def cell(c: dict, digits: int) -> str:
+    """'base [base IQR] -> head [head IQR]' with the given decimals."""
+    base, head = (f"{c[t]:.{digits}f} [{c[t + '_iqr']:.{digits}f}]" for t in ("base", "head"))
+    return f"{base} -> {head}"
 
 
 def main(argv=None) -> int:
@@ -205,13 +223,13 @@ def main(argv=None) -> int:
         "minimize_us_per_eval": compare(minimize_us),
         "objective_us_per_call": {f"n={n},p={p}": compare(s) for (n, p), s in objective_us.items()},
     }
-    m = result["minimize_us_per_eval"]
-    print(f"COBYLA + minimize, µs per evaluation: {m['base']} -> {m['head']}", file=sys.stderr)
-    print("objective, µs per call (base -> head):", file=sys.stderr)
+    print(f"COBYLA + minimize, µs per evaluation, median [IQR]: {cell(result['minimize_us_per_eval'], 1)}",
+          file=sys.stderr)
+    print("objective, µs per call, median [IQR] (base -> head):", file=sys.stderr)
     print("n \\ p | " + " | ".join(map(str, OBJECTIVE_P)), file=sys.stderr)
     for n in OBJECTIVE_N:
         cells = [result["objective_us_per_call"][f"n={n},p={p}"] for p in OBJECTIVE_P]
-        print(f"{n} | " + " | ".join(f"{c['base']:.0f} -> {c['head']:.0f}" for c in cells), file=sys.stderr)
+        print(f"{n} | " + " | ".join(cell(c, 0) for c in cells), file=sys.stderr)
     print(json.dumps(result))
     return 0
 
