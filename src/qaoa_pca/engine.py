@@ -23,27 +23,25 @@ axis, and the half-swapped view v[:, ::-1, :] puts each amplitude's partner in
 its place. The top qubit pairs x with x + 2^(n-1), whose amplitude is that
 of its complement 2^(n-1) - 1 - x, so its swapped view is the reversal
 psi[::-1]. Either way
-one qubit's butterfly is three calls: b = s * swapped, then psi = c * psi
-and psi = psi - b in place. Every amplitude gets the same two complex
+one qubit's butterfly is three calls: phase = s * swapped, then psi = c * psi
+and psi = psi - phase in place. Every amplitude gets the same two complex
 products and the same subtraction, in the same operand order, as a per-half update
 (lo, hi) -> (c * lo - s * hi, c * hi - s * lo) of the full state would give it,
 so the state is the same bit for bit. A layer costs 5 + 3n numpy calls on
 2^(n-1) amplitudes.
 
-`objective` squares the half into the first half of a full-length
-probability buffer, mirrors it into the second, and takes prob @ diag over all
+`objective` writes the half's probabilities into the first half of psi's
+float64 view, mirrors them into the second, and takes that view @ diag over all
 2^n entries in index order, so the sum, and its bits, are those of the
 full-state expectation sum_b |psi_b|^2 * E(b) computed the same way. `evolve`
 returns the full state as a new array, the half followed by its reversal.
 
-The half-size state, phase and scratch buffers, the full-size probability
-buffer, the per-qubit views and 0-d arrays for each layer's scalars (a ufunc
-takes those with less overhead than a float) are built once per state size
-(`_Buffers`) and cached by 2^n (at most `MAX_VERTICES` sizes; the least
-recently used size goes first), so an evaluation allocates nothing per layer
-or per qubit. Because the
-buffers are shared, the module is not thread-safe: evaluate from one thread
-per process.
+Each state size owns two complex arrays of 2^(n-1) entries, the half state
+psi and its scratch phase; every other buffer is a view of one of them
+(`_Buffers`, cached by 2^n for at most `MAX_VERTICES` sizes, the least
+recently used going first), so an evaluation allocates nothing per layer or
+per qubit. Because the buffers are shared, the module is not thread-safe:
+evaluate from one thread per process.
 
 Cost is O(p * n * 2^(n-1)) amplitude updates; no gate matrices are materialized.
 """
@@ -86,52 +84,47 @@ class ParameterVector:
         return self._theta
 
 
-def _qubit_count(size: int) -> int:
-    n = size.bit_length() - 1
-    if size < 2 or (1 << n) != size:
-        raise ValueError(f"diagonal length must be a power of two >= 2, got {size}")
-    return n
-
-
 class _Buffers:
-    """Every array and view that one evaluation of a `size`-amplitude state writes.
+    """The two arrays one evaluation of a `size`-amplitude state writes, and their views.
 
-    psi, phase and the scratch b hold the half state. g, c and s hold a
-    layer's scalars -i gamma, cos(beta) and i sin(beta) as 0-d complex arrays,
-    which a ufunc takes with less overhead than a Python or numpy scalar, and
-    with the same value. butterflies holds (swapped view of psi, b in its
-    shape) per qubit. squares views the spent phase as the half's squared
-    parts, interleaved (re2 and im2 view them), and prob holds all `size`
-    probabilities: low, the half's, then high, their mirror image.
+    psi holds the half state. phase, its scratch, holds a layer's phase until
+    psi *= phase, then each qubit's butterfly product until psi -= it
+    (butterflies pairs psi's swapped view with phase in its shape, per qubit),
+    then the final state's squared parts, interleaved (squares; re2 and im2
+    view them). parts, psi's float64 view, then takes all `size` probabilities,
+    low, the half's, then high, their mirror image: nothing reads the state
+    after its squares, and the next evaluation refills psi. g, c and s hold a
+    layer's -i gamma, cos(beta) and i sin(beta) as 0-d complex arrays, which a
+    ufunc takes with less overhead than a Python or numpy scalar, and with the
+    same value.
     """
 
     __slots__ = (
-        "amp0", "psi", "phase", "b", "g", "c", "s", "butterflies",
-        "parts", "squares", "re2", "im2", "prob", "low", "high", "mirror",
+        "amp0", "psi", "phase", "g", "c", "s", "butterflies",
+        "parts", "squares", "re2", "im2", "low", "high", "mirror",
     )
 
     def __init__(self, size: int):
-        n = _qubit_count(size)
+        n = size.bit_length() - 1
+        if size < 2 or (1 << n) != size:
+            raise ValueError(f"diagonal length must be a power of two >= 2, got {size}")
         half = size >> 1
         self.amp0 = 1.0 / np.sqrt(size)
-        self.psi, self.phase, self.b = (np.empty(half, dtype=np.complex128) for _ in range(3))
+        self.psi, self.phase = (np.empty(half, dtype=np.complex128) for _ in range(2))
         self.g, self.c, self.s = (np.empty((), dtype=np.complex128) for _ in range(3))
         self.butterflies = []
         for q in range(n - 1):
             shape = (half >> (q + 1), 2, 1 << q)
-            self.butterflies.append((self.psi.reshape(shape)[:, ::-1, :], self.b.reshape(shape)))
-        self.butterflies.append((self.psi[::-1], self.b))  # the top qubit: x's partner has the amplitude at half - 1 - x
+            self.butterflies.append((self.psi.reshape(shape)[:, ::-1, :], self.phase.reshape(shape)))
+        self.butterflies.append((self.psi[::-1], self.phase))  # the top qubit: x's partner has the amplitude at half - 1 - x
         self.parts = self.psi.view(np.float64)  # re_0, im_0, re_1, im_1, ...
         self.squares = self.phase.view(np.float64)
         self.re2, self.im2 = self.squares[0::2], self.squares[1::2]
-        self.prob = np.empty(size, dtype=np.float64)
-        self.low, self.high = self.prob[:half], self.prob[half:]
+        self.low, self.high = self.parts[:half], self.parts[half:]
         self.mirror = self.low[::-1]
 
 
-@lru_cache(maxsize=MAX_VERTICES)
-def _buffers_for(size: int) -> _Buffers:
-    return _Buffers(size)
+_buffers_for = lru_cache(maxsize=MAX_VERTICES)(_Buffers)
 
 
 def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
@@ -140,7 +133,7 @@ def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
     # compared as bytes, since a -0.0 facing a 0.0 would already give other bits than the full state
     if diag.tobytes() != diag[::-1].tobytes():
         raise ValueError("the diagonal must be unchanged by flipping every bit: diag[x] == diag[size - 1 - x]")
-    psi, phase, b, g, c, s = buf.psi, buf.phase, buf.b, buf.g, buf.c, buf.s
+    psi, phase, g, c, s = buf.psi, buf.phase, buf.g, buf.c, buf.s
     low = diag[: psi.size]
     psi.fill(buf.amp0)
     angles = params.as_array().tolist()
@@ -151,10 +144,10 @@ def _evolve_half(diag: np.ndarray, params: ParameterVector) -> _Buffers:
         np.multiply(psi, phase, psi)
         c[()] = np.cos(beta)
         s[()] = 1j * np.sin(beta)
-        for swapped, bv in buf.butterflies:
-            np.multiply(s, swapped, bv)  # before psi changes, since swapped views it
+        for swapped, product in buf.butterflies:
+            np.multiply(s, swapped, product)  # before psi changes, since swapped views it
             np.multiply(c, psi, psi)
-            np.subtract(psi, b, psi)
+            np.subtract(psi, phase, psi)
     return buf
 
 
@@ -175,8 +168,8 @@ def objective(diag: np.ndarray, params: ParameterVector) -> float:
     """The scalar the optimizer minimizes: the energy expectation of the evolved statevector."""
     diag = np.asarray(diag, dtype=np.float64)
     buf = _evolve_half(diag, params)
-    # re * re + im * im per amplitude, then the mirror image for the top half
+    # re * re + im * im per amplitude, over the spent state, then the mirror image for the top half
     np.multiply(buf.parts, buf.parts, buf.squares)
     np.add(buf.re2, buf.im2, buf.low)
     np.copyto(buf.high, buf.mirror)
-    return float(buf.prob @ diag)
+    return float(buf.parts @ diag)

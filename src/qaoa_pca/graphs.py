@@ -2,7 +2,7 @@
 
 Graphs are simple, undirected, 0-indexed. A graph on n vertices is encoded as an
 upper-triangular adjacency bitmask: pair (u, v) with u < v occupies bit
-``pair_index(u, v)``, pairs ordered (0,1), (0,2), ..., (0,n-1), (1,2), ...
+``_pair_index(n)[(u, v)]``, its position in ``_pairs(n)``: (0,1), (0,2), ..., (0,n-1), (1,2), ...
 Isomorphism classes are identified by the minimum bitmask over all vertex
 relabelings (the canonical key).
 

@@ -42,8 +42,9 @@ class CoefficientVector:
 class PCAModel:
     """Mean vector plus all 2p orthonormal components, sorted by decreasing variance.
 
-    degenerate is set exactly when every eigenvalue is zero, i.e. the training
-    rows were all identical; such a model still expands (to its mean).
+    The arrays are float64, as `fit` and `load_model` make them. degenerate is
+    set exactly when every eigenvalue is zero, i.e. the training rows were all
+    identical; such a model still expands (to its mean).
     """
 
     p: int
@@ -53,9 +54,7 @@ class PCAModel:
     degenerate: bool = field(default=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comps = np.asarray(self.components, dtype=np.float64)
-        eig = np.asarray(self.eigenvalues, dtype=np.float64)
+        mean, comps, eig = self.mean, self.components, self.eigenvalues
         dim = 2 * self.p
         if mean.shape != (dim,) or comps.shape != (dim, dim) or eig.shape != (dim,):
             raise ValueError(
@@ -68,9 +67,6 @@ class PCAModel:
             raise ValueError("eigenvalues must be nonnegative and nonincreasing")
         if self.degenerate != (not np.any(eig > 0)):
             raise ValueError(f"degenerate={self.degenerate} contradicts the largest eigenvalue {eig[0]!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "eigenvalues", eig)
 
 
 def fit(X: ParameterMatrix) -> PCAModel:
@@ -145,6 +141,11 @@ def load_model(path) -> PCAModel:
         raise ValueError(f"{path}: field 'p' must be a JSON integer, got {p!r}")
     if type(degenerate) is not bool:
         raise ValueError(f"{path}: field 'degenerate' must be a JSON boolean, got {degenerate!r}")
+    for name in ("mean", "components", "eigenvalues"):
+        # checked on the parsed JSON, since numpy would read true as 1.0 and "0.5" as 0.5
+        bad = [v for v in _entries(payload[name]) if type(v) not in (int, float)]
+        if bad:
+            raise ValueError(f"{path}: field {name!r} must hold JSON numbers, got {bad[0]!r}")
     try:
         return PCAModel(
             p=p,
@@ -153,5 +154,10 @@ def load_model(path) -> PCAModel:
             eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
             degenerate=degenerate,
         )
-    except (TypeError, ValueError) as exc:  # a field of the wrong JSON type, or of the wrong shape
+    except (OverflowError, ValueError) as exc:  # an integer past float64, ragged rows, or the wrong shape
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _entries(value) -> list:
+    """The non-list entries of a JSON value, at any depth of nested lists."""
+    return [e for item in value for e in _entries(item)] if isinstance(value, list) else [value]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ from qaoa_pca import cli
 from qaoa_pca.cli import _args_hash, build_parser, main
 from qaoa_pca.graphs import load_graph_set
 from qaoa_pca.pipeline import (
+    Checkpoint,
     REPORT_CONFIGURATIONS,
     pca_records_filename,
     scatter_filename,
@@ -365,6 +367,102 @@ def test_train_killed_mid_stage_resumes_to_the_same_bytes(tmp_path):
     assert text.startswith(killed)
     ids = [json.loads(line)["graph_id"] for line in text.splitlines()]
     assert len(ids) == 6 and len(set(ids)) == 6  # no graph computed twice
+
+
+CRASHED = 75  # the exit status of a child stopped at its planned write
+PLACEHOLDER = b"placeholder, not an artifact\n"
+
+
+def run_until_write(argv, n):
+    """Fork a child that runs `main(argv)` and exits at its n-th write, before it lands.
+
+    A write is an `os.replace` (the last step of every atomic artifact write) or a
+    `Checkpoint.add`. Returns the child's pid and exit status: CRASHED if it reached
+    the n-th write, else what `main` returned.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 99
+        try:
+            writes = itertools.count(1)
+
+            def crash_at_n(real):
+                def write(*args, **kwargs):
+                    if next(writes) == n:
+                        os._exit(CRASHED)
+                    return real(*args, **kwargs)
+                return write
+
+            os.replace = crash_at_n(os.replace)
+            Checkpoint.add = crash_at_n(Checkpoint.add)
+            code = run(*argv)
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    return pid, os.waitstatus_to_exitcode(status)
+
+
+def assert_each_crash_leaves_old_or_complete(root, argv, outputs, checkpoint=None):
+    """Crash `argv` at each of its writes in turn, with every output holding PLACEHOLDER and no checkpoint.
+
+    After each crash an output holds PLACEHOLDER or the fresh run's bytes, the checkpoint is
+    absent or a prefix of the fresh one, and the only other new files are a crashed child's
+    `.<name>.<pid>.tmp`; a rerun then writes the fresh run's bytes, the checkpoint's included.
+    """
+    artifacts = [*outputs, *([checkpoint] if checkpoint else [])]
+    assert run(*argv) == 0
+    fresh = {path: path.read_bytes() for path in artifacts}
+    crashed = set()
+    for n in itertools.count(1):
+        for path in outputs:
+            path.write_bytes(PLACEHOLDER)
+        if checkpoint:
+            checkpoint.unlink()
+        listing = set(root.rglob("*"))
+        pid, code = run_until_write(argv, n)
+        if code == 0:  # done before an n-th write, so every write has had its crash
+            break
+        assert code == CRASHED, f"{argv[0]} exited {code} before its write {n}"
+        crashed.add(pid)
+        for path in outputs:
+            assert path.read_bytes() in (PLACEHOLDER, fresh[path]), f"{path.name} torn by a crash at write {n}"
+        if checkpoint and checkpoint.exists():
+            kept = checkpoint.read_bytes()
+            assert fresh[checkpoint].startswith(kept) and kept.endswith(b"\n"), f"checkpoint after write {n}"
+        temps = {path.with_name(f".{path.name}.{pid}.tmp") for path in outputs for pid in crashed}
+        assert set(root.rglob("*")) - listing - {checkpoint} <= temps, f"stray files after a crash at write {n}"
+        assert run(*argv) == 0
+        assert {path: path.read_bytes() for path in artifacts} == fresh, f"rerun after a crash at write {n}"
+    assert {path: path.read_bytes() for path in artifacts} == fresh
+    assert len(crashed) >= len(artifacts)  # at least one write per artifact
+
+
+def test_a_crash_at_any_write_leaves_each_artifact_as_it_was_or_complete(tmp_path, capsys):
+    # every write of every subcommand at --workers 1; fsync and a pool's workers are out of scope
+    graphs, matrix, model = tmp_path / "g.graphs", tmp_path / "m.csv", tmp_path / "model.pca"
+    pca, std1 = tmp_path / "pca.csv", tmp_path / "std1.csv"
+    one = ["--workers", "1"]
+    sweep = functools.partial(assert_each_crash_leaves_old_or_complete, tmp_path)
+    sweep(["gen-graphs", "--n", "4", "--weighted", "--out", graphs], [graphs])
+    records, ckpt = tmp_path / "r.csv", tmp_path / "t.ckpt"
+    sweep(["train", "--graphs", graphs, "--p", "2", "--max-evals", "40", *one, "--out", matrix,
+           "--records", records, "--checkpoint", ckpt], [matrix, records], ckpt)
+    sweep(["fit-pca", "--matrix", matrix, "--out", model], [model])
+    ckpt = tmp_path / "pca.ckpt"
+    sweep(["evaluate", "--graphs", graphs, "--model", model, "--components", "2", "--matrix", matrix,
+           "--restarts", "2", "--max-evals", "30", *one, "--out", pca, "--checkpoint", ckpt], [pca], ckpt)
+    ckpt = tmp_path / "std1.ckpt"
+    sweep(["evaluate", "--standard", "--graphs", graphs, "--p", "1", "--max-evals", "30", *one,
+           "--out", std1, "--checkpoint", ckpt], [std1], ckpt)
+    comparison = tmp_path / "c.json"
+    sweep(["compare", "--pca", pca, "--baseline", std1, "--kind", "same_params", "--out", comparison],
+          [comparison])
+    write_report_records(tmp_path / "runs")
+    report = tmp_path / "report" / "report.md"
+    report.parent.mkdir()
+    scatters = [report.parent / scatter_filename(*config) for config in REPORT_CONFIGURATIONS]
+    sweep(["report", "--records-dir", tmp_path / "runs", "--out", report], [*scatters, report])
+    capsys.readouterr()
 
 
 def test_evaluate_resumes_with_the_model_at_another_path(tmp_path):

@@ -10,13 +10,19 @@ winners' `best_params` is pinned too: a change that keeps the counts but
 moves the winning angles fails.
 
 These numbers hold for one arithmetic, not for one numpy version (ROADMAP
-item 10). They were made with numpy 2.4.6 on OpenBLAS 0.3.31 running its
-SkylakeX kernel (x86_64, AVX-512). OpenBLAS picks its kernel for the CPU at
-run time, and another kernel moves the last bits of `objective` and of
-COBYLA's products, and with them the counts: under OPENBLAS_CORETYPE=Haswell
-12 of the 16 records differ. On such a host this test fails, and the failure
-says so; that comes from the host, not from a change to the package. Nothing
-under perfbench/ is written.
+item 10). They were made with numpy 2.4.6 dispatching its SIMD loops up to
+AVX512_SPR, on OpenBLAS 0.3.31 running its SkylakeX kernel (x86_64, AVX-512).
+Two run-time choices below the numpy version set the last bits of `objective`
+and of COBYLA's products, and with them the counts:
+- OpenBLAS picks its kernel for the CPU. Under OPENBLAS_CORETYPE=Haswell
+  12 of the 16 records differ.
+- numpy picks its SIMD loops for the CPU, and its X86_V3/V4 complex product
+  uses FMA where its baseline loop does not. Under
+  NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" both cases
+  fail (n05k00000000000f takes 263 evaluations, not 238).
+On such a host this test fails, and the failure names both sources; that comes
+from the host, not from a change to the package. Nothing under perfbench/ is
+written.
 """
 
 import hashlib
@@ -29,7 +35,7 @@ from oracles import PERFBENCH, load_benchmark
 
 BUILDERS = load_benchmark("workloads").BUILDERS
 RATIO_TOL = 1e-9  # checks.reference_match_frac's tolerance
-KERNEL = "numpy 2.4.6, OpenBLAS 0.3.31 SkylakeX kernel"
+KERNEL = "numpy 2.4.6 SIMD dispatch up to AVX512_SPR, OpenBLAS 0.3.31 SkylakeX kernel"
 
 # sha256 over the winners' best_params, records in graph-id order, each angle as little-endian float64
 PARAMS_SHA256 = {
@@ -51,7 +57,10 @@ def test_records_equal_the_benchmark_reference(workload):
         reference = {r["graph_id"]: r for r in json.load(fh)["records"]}
     serial = BUILDERS[workload]()
     records = serial.stage(serial.graphs, None)
-    where = f"{workload} (references made with {KERNEL}; another BLAS kernel moves the counts)"
+    where = (
+        f"{workload} (references made with {KERNEL}; another OpenBLAS kernel, see OPENBLAS_CORETYPE,"
+        " or other numpy SIMD loops, see NPY_DISABLE_CPU_FEATURES, move the counts)"
+    )
     assert sorted(rec.graph_id for rec in records) == sorted(reference), where
     for rec in records:
         want = reference[rec.graph_id]

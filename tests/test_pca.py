@@ -204,7 +204,7 @@ def test_model_file_bad_tag_and_garbage(tmp_path):
         load_model(path)
 
 
-@pytest.mark.parametrize("field, value", [("p", [1]), ("components", 3)])
+@pytest.mark.parametrize("field, value", [("p", [1]), ("components", 3), ("mean", [10**400, 0.0])])
 def test_model_file_field_of_wrong_type(tmp_path, field, value):
     import json
 
@@ -218,10 +218,21 @@ def test_model_file_field_of_wrong_type(tmp_path, field, value):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("p", 1.9), ("p", True), ("degenerate", "false"), ("degenerate", 0)]
+    "field, value",
+    [
+        ("p", 1.9),
+        ("p", True),
+        ("degenerate", "false"),
+        ("degenerate", 0),
+        ("mean", ["0.25", "0.5"]),
+        ("eigenvalues", [True, False]),
+        ("mean", [True, 0.5]),
+        ("components", [[1.0, 0.0], [None, 1.0]]),
+    ],
 )
 def test_model_file_fields_are_not_coerced(tmp_path, field, value):
-    # "p": 1.9 would truncate to 1 and "degenerate": "false" would read as True
+    # "p": 1.9 would truncate to 1, "degenerate": "false" would read as True, and numpy
+    # would read an array's "0.25" as 0.25 and its true as 1.0, even beside a float
     import json
 
     path = tmp_path / "model.pca"
