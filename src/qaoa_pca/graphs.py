@@ -120,26 +120,26 @@ def is_connected(g: Graph) -> bool:
 
 @lru_cache(maxsize=8)
 def _perm_bit_weights(n: int) -> np.ndarray:
-    """(C(n,2), n!) table: entry [k, p] is the destination bit of pair k under permutation p.
+    """(C(n,2), n!) uint32 table: entry [k, p] is the destination bit of pair k under permutation p.
 
-    Pair-major and C-contiguous, so the relabelings of one pair are one row.
+    Pair-major and C-contiguous, so the relabelings of one pair are one row. uint32
+    holds a mask because C(MAX_VERTICES, 2) = 28 <= 32.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.uint8).reshape(-1, n)
     pairs = _pairs(n)
-    pair_idx = np.zeros((n, n), dtype=np.int64)
+    pair_idx = np.zeros((n, n), dtype=np.uint32)
     for k, (u, v) in enumerate(pairs):
         pair_idx[u, v] = pair_idx[v, u] = k
-    weights = np.empty((len(pairs), len(perms)), dtype=np.uint64)
+    weights = np.empty((len(pairs), len(perms)), dtype=np.uint32)
     for k, (u, v) in enumerate(pairs):
-        dest = pair_idx[perms[:, u], perms[:, v]]
-        weights[k] = np.uint64(1) << dest.astype(np.uint64)
+        np.left_shift(np.uint32(1), pair_idx[perms[:, u], perms[:, v]], out=weights[k])
     return weights
 
 
 def _orbit_masks(n: int, mask: int) -> np.ndarray:
-    """All n! relabelings of `mask` as a uint64 vector (with repeats for automorphisms)."""
+    """All n! relabelings of `mask` as a uint32 vector (with repeats for automorphisms)."""
     weights = _perm_bit_weights(n)
-    acc = np.zeros(weights.shape[1], dtype=np.uint64)
+    acc = np.zeros(weights.shape[1], dtype=np.uint32)
     k = 0
     m = mask
     while m:
@@ -168,7 +168,7 @@ def _enumerate_cached(n: int) -> tuple[int, ...]:
             continue
         # ascending sweep: the smallest unseen mask is the minimum of its orbit,
         # i.e. the canonical key of its isomorphism class
-        seen[_orbit_masks(n, m).astype(np.int64)] = True
+        seen[_orbit_masks(n, m)] = True
         if is_connected(graph_from_mask(n, m)):
             reps.append(m)
     return tuple(reps)

@@ -7,6 +7,8 @@ from qaoa_pca.graphs import (
     MAX_VERTICES,
     Graph,
     WeightedGraph,
+    _orbit_masks,
+    _perm_bit_weights,
     assign_random_weights,
     canonical_key,
     enumerate_connected_nonisomorphic,
@@ -89,26 +91,47 @@ def test_canonical_key_invariant_under_relabeling_at_max_n():
     assert base.bits <= graph_to_mask(g)
 
 
-def permutation_min_mask(g):
-    """Canonical bits by brute force: the least mask over every relabeling, in plain Python.
+def relabeled_masks(g):
+    """The mask of every relabeling of g, by brute force in plain Python.
 
     Pair (u, v), u < v, is bit k in the order (0,1), (0,2), ..., (0,n-1), (1,2), ...
     """
     bit = {uv: k for k, uv in enumerate(itertools.combinations(range(g.n), 2))}
-    return min(
+    return [
         sum(1 << bit[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in g.edges)
         for perm in itertools.permutations(range(g.n))
-    )
+    ]
 
 
 def test_canonical_key_matches_permutation_oracle():
     rng = np.random.default_rng(20)
     cases = [(n, 4) for n in range(2, 8)] + [(8, 3)]
-    for n, count in cases:
-        for _ in range(count):
-            pairs = itertools.combinations(range(n), 2)
-            g = Graph(n, frozenset(uv for uv in pairs if rng.random() < 0.5))
-            assert canonical_key(g).bits == permutation_min_mask(g), sorted(g.edges)
+    graphs = [
+        Graph(n, frozenset(uv for uv in itertools.combinations(range(n), 2) if rng.random() < 0.5))
+        for n, count in cases
+        for _ in range(count)
+    ]
+    # graphs on which every relabeling ties or nearly ties: edgeless, K8, C8, K4,4, the star K1,7, two disjoint K4
+    k4s = itertools.chain(itertools.combinations(range(4), 2), itertools.combinations(range(4, 8), 2))
+    symmetric = [
+        *(Graph(n, frozenset()) for n in (1, 2, 8)),
+        complete_graph(8),
+        Graph(8, frozenset({(i, i + 1) for i in range(7)} | {(0, 7)})),
+        Graph(8, frozenset((u, v) for u in range(4) for v in range(4, 8))),
+        Graph(8, frozenset((0, v) for v in range(1, 8))),
+        Graph(8, frozenset(k4s)),
+    ]
+    for g in graphs + symmetric:
+        assert canonical_key(g).bits == min(relabeled_masks(g)), (g.n, sorted(g.edges))
+    # enumeration marks whole orbits seen, not only their minimum: every relabeling is there, and nothing else
+    for g in [g for g in graphs if 4 <= g.n <= 6] + [path_graph(5), complete_graph(6)]:
+        assert set(_orbit_masks(g.n, graph_to_mask(g)).tolist()) == set(relabeled_masks(g)), (g.n, sorted(g.edges))
+
+
+def test_relabeling_table_is_uint32():
+    assert MAX_VERTICES * (MAX_VERTICES - 1) // 2 <= 32
+    weights = _perm_bit_weights(8)
+    assert weights.shape == (28, 40320) and weights.dtype == np.uint32
 
 
 def test_canonical_key_separates_nonisomorphic():

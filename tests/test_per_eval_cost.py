@@ -1,5 +1,5 @@
 """tools/per_eval_cost.py: one interleaved round of this tree against itself, its spreads, and its refusal of an engine
-that differs."""
+or a canonical key that differs."""
 
 import importlib.util
 import json
@@ -45,10 +45,15 @@ def test_per_eval_cost_runs_one_round(tmp_path):
     cells = result["objective_us_per_call"]
     assert sorted(cells) == sorted(f"n={n},p={p}" for n in range(4, 9) for p in (1, 2, 4, 8))
     assert all(c["base"] > 0 and c["head"] > 0 for c in cells.values())
+    keys = result["canonical_key_us_per_call"]
+    assert sorted(keys) == ["n=6", "n=7", "n=8"]
+    assert all(c["base"] > 0 and c["head"] > 0 for c in keys.values())
     # one round has no spread: every interquartile range is there, and 0
-    spreads = [c[f"{t}_iqr"] for c in (result["minimize_us_per_eval"], *cells.values()) for t in ("base", "head")]
+    every = (result["minimize_us_per_eval"], *cells.values(), *keys.values())
+    spreads = [c[f"{t}_iqr"] for c in every for t in ("base", "head")]
     assert spreads and all(s == 0 for s in spreads)
     assert "COBYLA + minimize" in out.stderr
+    assert "canonical_key, µs per call" in out.stderr
 
 
 def test_compare_gives_each_tree_s_interquartile_range():
@@ -61,20 +66,39 @@ def test_compare_gives_each_tree_s_interquartile_range():
     assert tool.cell(got, 1) == "3.0 [2.0] -> 2.0 [0.0]"
 
 
-@pytest.mark.parametrize("name", ["objective", "evolve"])
-def test_per_eval_cost_refuses_a_tree_whose_engine_differs(tmp_path, name):
-    # a base tree whose engine moves one result by a rounding step must stop the script before it times anything
+def run_against_patched_base(tmp_path, module: str, patch: str) -> subprocess.CompletedProcess:
+    """One round of the tool against a copy of this tree's package with `patch` appended to `module`.py."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src" / "qaoa_pca", src / "qaoa_pca", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(src / "qaoa_pca" / "engine.py", "a", encoding="utf-8") as fh:
-        fh.write(f"\n_exact = {name}\n\n\ndef {name}(diag, params):\n    return _exact(diag, params) * (1 + 2**-52)\n")
-    out = subprocess.run(
+    with open(src / "qaoa_pca" / f"{module}.py", "a", encoding="utf-8") as fh:
+        fh.write(patch)
+    return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "per_eval_cost.py"), "--base", str(src), "--reps", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("name", ["objective", "evolve"])
+def test_per_eval_cost_refuses_a_tree_whose_engine_differs(tmp_path, name):
+    # a base tree whose engine moves one result by a rounding step must stop the script before it times anything
+    patch = f"\n_exact = {name}\n\n\ndef {name}(diag, params):\n    return _exact(diag, params) * (1 + 2**-52)\n"
+    out = run_against_patched_base(tmp_path, "engine", patch)
     assert out.returncode != 0
     assert f"n=4, p=1: {name} gives" in out.stderr
+    assert out.stdout == ""
+
+
+def test_per_eval_cost_refuses_a_tree_whose_canonical_key_differs(tmp_path):
+    # a base tree whose 8-vertex keys are one off, and only those, must stop the script before it times anything
+    patch = (
+        "\n_exact = canonical_key\n\n\ndef canonical_key(g):\n"
+        "    key = _exact(g)\n    return CanonicalKey(key.n, key.bits + (key.n == 8))\n"
+    )
+    out = run_against_patched_base(tmp_path, "graphs", patch)
+    assert out.returncode != 0
+    assert "n=8: canonical_key gives" in out.stderr
+    assert "n=6:" not in out.stderr and "n=7:" not in out.stderr
     assert out.stdout == ""

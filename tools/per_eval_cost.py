@@ -1,9 +1,9 @@
-"""Per-evaluation cost of two source trees, measured in one process with their calls interleaved.
+"""Per-evaluation and per-key cost of two source trees, measured in one process with their calls interleaved.
 
     python tools/per_eval_cost.py --base /path/to/other/checkout/src --reps 30
 
 Each tree's `qaoa_pca` package is loaded under a module name of its own, so
-both run side by side on the same numpy. Two costs are measured:
+both run side by side on the same numpy. Three costs are measured:
 
 - COBYLA + `optimizer.minimize`, in µs per evaluation. The objective values
   at the starts of the benchmark's train-p2 workload (`build_train_p2` in
@@ -17,14 +17,19 @@ both run side by side on the same numpy. Two costs are measured:
   weighted cycle with chords. Before timing, both trees must give the same
   `objective` value and the same `evolve` statevector (`np.array_equal`) at
   every (n, p), or the script stops.
+- `graphs.canonical_key`, in µs per call, for n = 6, 7 and 8 over
+  `KEY_GRAPHS` seeded random graphs each. Before timing, both trees must give
+  the same key to every timed graph, or the script stops. The one-off cost of
+  building a relabeling table is not timed here: perfbench's `setup_s` and
+  `peak_rss_mb` carry it end to end.
 
 The head tree is this checkout's `src`; `--base` names the other. Round r
 times the base tree first when r is even and the head tree first when it is
 odd. Each tree's median and interquartile range over the rounds (0 for one
 round) go to stderr as a table; the last stdout line is one JSON object with
-them, the rounds the head tree was faster in, nproc and the Python and numpy
-versions. A cell whose medians differ by less than their ranges is within the
-host's noise.
+them, the rounds the head tree read lower in (every cell is better lower),
+nproc and the Python and numpy versions. A cell whose medians differ by less
+than their ranges is within the host's noise.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ TRAIN_P = 2  # build_train_p2's depth
 OBJECTIVE_CALLS = 200  # objective calls per (n, p), tree and round
 OBJECTIVE_N = (4, 5, 6, 7, 8)
 OBJECTIVE_P = (1, 2, 4, 8)
+KEY_N = (6, 7, 8)
+KEY_GRAPHS = 10  # seeded random graphs per n
+KEY_CALLS = 20  # canonical_key calls per graph, tree and round
 clock = time.perf_counter
 
 
@@ -159,6 +167,34 @@ def time_objective(tree: dict, diag, theta) -> float:
     return (clock() - t0) / OBJECTIVE_CALLS * 1e6
 
 
+def key_cases(tree: dict) -> dict:
+    """n -> the seeded random n-vertex graphs whose keys are timed."""
+    graphs = tree["graphs"]
+    rng = np.random.default_rng(GEN_SEED)
+    return {
+        n: [graphs.graph_from_mask(n, int(m)) for m in rng.integers(0, 1 << (n * (n - 1) // 2), KEY_GRAPHS)]
+        for n in KEY_N
+    }
+
+
+def check_keys(trees: dict, cases: dict) -> None:
+    """Both trees give every timed graph the same canonical key."""
+    for n in KEY_N:
+        for i in range(KEY_GRAPHS):
+            got = {label: tree["graphs"].canonical_key(cases[label][n][i]).bits for label, tree in trees.items()}
+            if got["base"] != got["head"]:
+                raise SystemExit(f"n={n}: canonical_key gives {got['base']:#x} on base, {got['head']:#x} on head")
+
+
+def time_keys(tree: dict, graphs: list) -> float:
+    canonical_key = tree["graphs"].canonical_key
+    t0 = clock()
+    for g in graphs:
+        for _ in range(KEY_CALLS):
+            canonical_key(g)
+    return (clock() - t0) / (len(graphs) * KEY_CALLS) * 1e6
+
+
 def iqr(xs: list[float]) -> float:
     """Distance between the first and third quartiles of xs; 0 for a single sample."""
     if len(xs) < 2:
@@ -200,9 +236,12 @@ def main(argv=None) -> int:
         check_replay(tree, label, runs)
     cases = {label: objective_cases(tree) for label, tree in trees.items()}
     check_engines(trees, cases)
+    keys = {label: key_cases(tree) for label, tree in trees.items()}
+    check_keys(trees, keys)
 
     minimize_us = {"base": [], "head": []}
     objective_us = {case: {"base": [], "head": []} for case in cases["head"]}
+    key_us = {n: {"base": [], "head": []} for n in KEY_N}
     for r in range(args.reps):
         order = ("base", "head") if r % 2 == 0 else ("head", "base")
         for label in order:
@@ -211,6 +250,9 @@ def main(argv=None) -> int:
             for label in order:
                 diag, theta = cases[label][case]
                 objective_us[case][label].append(time_objective(trees[label], diag, theta))
+        for n in KEY_N:
+            for label in order:
+                key_us[n][label].append(time_keys(trees[label], keys[label][n]))
 
     result = {
         "nproc": nproc(),
@@ -222,6 +264,7 @@ def main(argv=None) -> int:
         "evals_per_rep": sum(len(values) for _, _, values, _ in runs),
         "minimize_us_per_eval": compare(minimize_us),
         "objective_us_per_call": {f"n={n},p={p}": compare(s) for (n, p), s in objective_us.items()},
+        "canonical_key_us_per_call": {f"n={n}": compare(s) for n, s in key_us.items()},
     }
     print(f"COBYLA + minimize, µs per evaluation, median [IQR]: {cell(result['minimize_us_per_eval'], 1)}",
           file=sys.stderr)
@@ -230,6 +273,9 @@ def main(argv=None) -> int:
     for n in OBJECTIVE_N:
         cells = [result["objective_us_per_call"][f"n={n},p={p}"] for p in OBJECTIVE_P]
         print(f"{n} | " + " | ".join(cell(c, 0) for c in cells), file=sys.stderr)
+    keys_us = result["canonical_key_us_per_call"]
+    print("canonical_key, µs per call, median [IQR] (base -> head): "
+          + "; ".join(f"{n}: {cell(c, 1)}" for n, c in keys_us.items()), file=sys.stderr)
     print(json.dumps(result))
     return 0
 
