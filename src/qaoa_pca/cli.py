@@ -199,33 +199,35 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted for older scripts; artifacts hold no clock time, so it does nothing
     common.add_argument("--no-timestamp", action="store_true", help=argparse.SUPPRESS)
 
+    stage = argparse.ArgumentParser(add_help=False, parents=[common])  # the flags of train and evaluate
+    stage.add_argument("--graphs", required=True, help="graph-set file to optimize")
+    stage.add_argument("--checkpoint", default=None, help="append-only resume file")
+    stage.add_argument(
+        "--max-evals", type=int, default=OptimizerConfig.max_evals, help="objective evaluation budget per start"
+    )
+    # train and evaluate --standard read no seed, but it is part of the `# config` digest
+    stage.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
     parser = argparse.ArgumentParser(prog="qaoa-pca", description=__doc__)
-    seed = dict(type=int, default=0, help="master seed (default 0)")
-    max_evals = dict(type=int, default=OptimizerConfig.max_evals, help="objective evaluation budget per start")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen-graphs", parents=[common], help="enumerate or sample graph sets")
     p_gen.add_argument("--n", required=True, help="vertex count N or range LO..HI")
     p_gen.add_argument("--weighted", action="store_true", help="draw edge weights in (0, 1]")
     p_gen.add_argument("--count", type=int, default=None, help="sample this many instead of enumerating")
-    p_gen.add_argument("--seed", **seed)
+    p_gen.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_gen.set_defaults(func=_cmd_gen_graphs)
 
-    p_train = sub.add_parser("train", parents=[common], help="optimize every graph, save the parameter matrix")
-    p_train.add_argument("--graphs", required=True, help="graph-set file to train on")
+    p_train = sub.add_parser("train", parents=[stage], help="optimize every graph, save the parameter matrix")
     p_train.add_argument("--p", type=int, required=True, choices=DEPTHS, help="circuit layers")
     p_train.add_argument("--records", default=None, help="also write per-run records CSV here")
-    p_train.add_argument("--checkpoint", default=None, help="append-only resume file")
-    p_train.add_argument("--max-evals", **max_evals)
-    p_train.add_argument("--seed", **seed)  # read by no stage, but part of the `# config` digest
     p_train.set_defaults(func=_cmd_train)
 
     p_fit = sub.add_parser("fit-pca", parents=[common], help="fit the component model to a parameter matrix")
     p_fit.add_argument("--matrix", required=True, help="parameter matrix CSV")
     p_fit.set_defaults(func=_cmd_fit_pca)
 
-    p_eval = sub.add_parser("evaluate", parents=[common], help="run reduced or standard optimization on an eval set")
-    p_eval.add_argument("--graphs", required=True, help="evaluation graph-set file")
+    p_eval = sub.add_parser("evaluate", parents=[stage], help="run reduced or standard optimization on an eval set")
     p_eval.add_argument("--standard", action="store_true", help="full-parameter baseline mode")
     p_eval.add_argument("--p", type=int, default=None, choices=DEPTHS, help="layers (standard mode)")
     p_eval.add_argument("--model", default=None, help="component model file (reduced mode)")
@@ -234,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--restarts", type=int, default=EvalConfig.restarts, help="random starts per graph (reduced mode)"
     )
-    p_eval.add_argument("--checkpoint", default=None, help="append-only resume file")
-    p_eval.add_argument("--max-evals", **max_evals)
-    p_eval.add_argument("--seed", **seed)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_cmp = sub.add_parser("compare", parents=[common], help="paired signed-rank comparison of two record files")

@@ -8,8 +8,8 @@ relabelings (the canonical key).
 
 `MAX_VERTICES` is the one vertex bound of the package, enforced by `Graph`:
 every stage names a record by its canonical key, which tabulates all n!
-relabelings, so no graph has more than 8 vertices. Exhaustive enumeration
-walks all 2^C(n,2) edge sets and stops earlier, at `MAX_ENUMERATION_VERTICES`.
+relabelings, so no graph has more than 8 vertices. Exhaustive enumeration walks all
+2^C(n,2) edge sets on each call, keeping no cache, so it stops earlier, at `MAX_ENUMERATION_VERTICES`.
 """
 
 from __future__ import annotations
@@ -159,31 +159,27 @@ def graph_id(g: Graph) -> str:
     return canonical_key(g).id_string()
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int) -> tuple[int, ...]:
+def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
+    """One representative per isomorphism class of connected n-vertex graphs.
+
+    Representatives are the canonical-key masks themselves, returned in ascending
+    key order. Each call sweeps all 2^C(n,2) edge sets anew (no cache), so n is capped at
+    MAX_ENUMERATION_VERTICES.
+    """
+    if not 2 <= n <= MAX_ENUMERATION_VERTICES:
+        raise ValueError(f"enumeration supports 2..{MAX_ENUMERATION_VERTICES} vertices, got {n}")
     seen = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
-    reps: list[int] = []
+    reps: list[Graph] = []
     for m in range(seen.size):
         if seen[m]:
             continue
         # ascending sweep: the smallest unseen mask is the minimum of its orbit,
         # i.e. the canonical key of its isomorphism class
         seen[_orbit_masks(n, m)] = True
-        if is_connected(graph_from_mask(n, m)):
-            reps.append(m)
-    return tuple(reps)
-
-
-def enumerate_connected_nonisomorphic(n: int) -> list[Graph]:
-    """One representative per isomorphism class of connected n-vertex graphs.
-
-    Representatives are the canonical-key masks themselves, returned in ascending
-    key order. Exhaustive over all 2^C(n,2) edge sets, so n is capped at
-    MAX_ENUMERATION_VERTICES.
-    """
-    if not 2 <= n <= MAX_ENUMERATION_VERTICES:
-        raise ValueError(f"enumeration supports 2..{MAX_ENUMERATION_VERTICES} vertices, got {n}")
-    return [graph_from_mask(n, m) for m in _enumerate_cached(n)]
+        g = graph_from_mask(n, m)
+        if is_connected(g):
+            reps.append(g)
+    return reps
 
 
 def sample_connected_nonisomorphic(n: int, count: int, seed: int) -> list[Graph]:

@@ -79,18 +79,27 @@ def _fmt(x: float) -> str:
 def write_text_atomic(path, text: str) -> None:
     """Replace the file at path with text in one step, so a killed process leaves the old file or the new one.
 
-    The text goes to a temporary file beside the target, which `os.replace`
-    then moves over it; the temporary file is removed if anything fails.
+    The text goes to a temporary file beside the target, fsynced, which `os.replace`
+    then moves over it; the temporary file is removed if anything fails. On POSIX
+    the directory is fsynced after the rename, so the new name is on disk when this returns.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())  # the data reaches the disk before the rename can
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if os.name == "posix":  # only POSIX lets a directory be opened and fsynced
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _write_csv(path, header: list[str], rows, provenance: dict | None = None) -> None:

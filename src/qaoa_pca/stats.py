@@ -22,11 +22,11 @@ class TestResult:
     rbc: float  # rank-biserial (W+ - W-)/(W+ + W-); 0 when every pair ties
 
 
-def _doubled_ranks(absd: np.ndarray) -> np.ndarray:
-    """Average ranks of absd, times two (integral even with ties)."""
+def _doubled_ranks(absd: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Average ranks of absd, times two (integral even with ties), and the size of each group of tied values."""
     _, inverse, counts = np.unique(absd, return_inverse=True, return_counts=True)
     # a tie span of c values ending at 1-based rank hi starts at hi - c + 1: its doubled rank is 2 * hi - c + 1
-    return (2 * np.cumsum(counts) - counts + 1)[inverse]
+    return (2 * np.cumsum(counts) - counts + 1)[inverse], counts.tolist()
 
 
 def _exact_two_tailed(d2ranks: np.ndarray, w2: int) -> float:
@@ -35,21 +35,17 @@ def _exact_two_tailed(d2ranks: np.ndarray, w2: int) -> float:
     span = int(d2ranks.sum())
     counts = [0] * (span + 1)
     counts[0] = 1
-    for r in d2ranks:
-        r = int(r)
+    for r in d2ranks.tolist():
         for w in range(span, r - 1, -1):
             counts[w] += counts[w - r]
     cnt = sum(counts[: w2 + 1])
     return min(1.0, 2.0 * cnt / total)
 
 
-def _normal_two_tailed(d2ranks: np.ndarray, w: float) -> float:
-    n = len(d2ranks)
-    tie_sizes = np.unique(d2ranks, return_counts=True)[1].tolist()  # tied values share a rank
+def _normal_two_tailed(n: int, tie_sizes: list[int], w: float) -> float:
     mu = n * (n + 1) / 4.0
+    # sum(t^3 - t) <= n^3 - n, so var >= n(n+1)^2 / 16 > 0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - sum(t**3 - t for t in tie_sizes) / 48.0
-    if var <= 0.0:
-        return 1.0
     z = (w - mu + 0.5) / math.sqrt(var)  # w = min(W+, W-) <= mu; +0.5 continuity
     return min(1.0, 2.0 * 0.5 * math.erfc(-z / math.sqrt(2.0)))
 
@@ -63,14 +59,13 @@ def wilcoxon_signed_rank(a, b) -> TestResult:
     n = int(d.size)
     if n == 0:
         return TestResult(1.0, 0.0)
-    absd = np.abs(d)
-    ranks2 = _doubled_ranks(absd)
+    ranks2, tie_sizes = _doubled_ranks(np.abs(d))
     w2_plus = int(ranks2[d > 0].sum())
     w2_minus = int(ranks2[d < 0].sum())
     w2 = min(w2_plus, w2_minus)
     if n <= EXACT_LIMIT:
         p = _exact_two_tailed(ranks2, w2)
     else:
-        p = _normal_two_tailed(ranks2, w2 / 2.0)
+        p = _normal_two_tailed(n, tie_sizes, w2 / 2.0)
     rbc = (w2_plus - w2_minus) / (w2_plus + w2_minus)
     return TestResult(p, rbc)

@@ -552,6 +552,14 @@ def test_config_digest_is_pinned(tmp_path):
     # --no-timestamp does nothing, so it leaves the digest alone
     assert _args_hash(build_parser().parse_args(train[:-1])) == "88ec1a9a3b58"
     assert _args_hash(build_parser().parse_args(standard + ["--no-timestamp"])) == "7bd96e06549a"
+    # the reduced mode hashes its model and matrix by content, beside the flags
+    model, matrix = tmp_path / "hand.model", tmp_path / "hand.csv"
+    model.write_text('{"format": "pca-model/1", "p": 1, "degenerate": false, "mean": [0.5, 0.25],'
+                     ' "eigenvalues": [2.0, 1.0], "components": [[1.0, 0.0], [0.0, 1.0]]}\n')
+    matrix.write_text("graph_id,gamma_1,beta_1\nn03k000000000003,0.5,0.25\nn02k000000000001,0.75,0.5\n")
+    reduced = ["evaluate", "--graphs", str(graphs), "--model", str(model), "--components", "1",
+               "--matrix", str(matrix), "--restarts", "3", "--seed", "5", "--out", str(tmp_path / "q.csv")]
+    assert _args_hash(build_parser().parse_args(reduced)) == "0fb0f23c5cbc"
 
 
 def test_exit_codes_on_bad_usage(tmp_path, capsys):

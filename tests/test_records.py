@@ -200,6 +200,26 @@ def test_failed_write_leaves_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["recs.csv"]
 
 
+def test_atomic_write_syncs_the_data_before_the_rename_and_the_directory_after(tmp_path, monkeypatch):
+    calls = []  # (call, inode of the file or directory it acts on)
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        replace(src, dst)
+
+    monkeypatch.setattr(records.os, "fsync", logged_fsync)
+    monkeypatch.setattr(records.os, "replace", logged_replace)
+    write_text_atomic(tmp_path / "atomic.csv", "a,b\n1,2\n")
+    file_ino, dir_ino = os.stat(tmp_path / "atomic.csv").st_ino, os.stat(tmp_path).st_ino
+    directory = [("fsync", dir_ino)] if os.name == "posix" else []
+    assert calls == [("fsync", file_ino), ("replace", file_ino)] + directory
+
+
 def test_atomic_write_bytes_and_mode_match_plain_open(tmp_path):
     text = "a,b\n1,2\n"
     with open(tmp_path / "plain.csv", "w", encoding="utf-8") as fh:

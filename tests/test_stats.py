@@ -92,6 +92,7 @@ def test_exact_and_normal_branches_agree_near_cutoff():
 
 def test_normal_branch_matches_reference_implementation():
     rng = np.random.default_rng(37)
+    samples = []
     for _ in range(25):
         n = int(rng.integers(EXACT_LIMIT + 1, 120))
         a = rng.normal(0.1, 1.0, n)
@@ -99,6 +100,10 @@ def test_normal_branch_matches_reference_implementation():
         # round half the values to provoke tied magnitudes
         a[: n // 2] = np.round(a[: n // 2], 1)
         b[: n // 2] = np.round(b[: n // 2], 1)
+        samples.append((a, b))
+    # every |d| tied: the variance's least value, n(n+1)^2 / 16
+    samples += [(d, np.zeros(d.size)) for d in (np.ones(26), np.ones(30), np.r_[np.ones(20), -np.ones(10)])]
+    for a, b in samples:
         d = a - b
         if not np.any(d != 0):
             continue
