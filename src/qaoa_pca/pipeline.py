@@ -11,11 +11,10 @@ is unchanged (see `_run_stage`).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import struct
+import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -95,8 +94,10 @@ class EvalConfig:
 class Checkpoint:
     """Append-only JSONL of finished per-graph records, one `{"config": key, ...record}` a line.
 
-    `keys` maps each graph id to the key its record must carry to be reused;
-    `done` holds the records the file held under those keys when opened. A line is
+    `keys` maps each graph id to the key its record must carry to be reused: a
+    hash of everything the record was computed from, this package's code
+    included (`_run_stage` makes them). `done` holds the records the file held
+    under those keys when opened. A line is
     kept in the file but ignored, and its graph recomputed, when reading it raises
     KeyError, TypeError or ValueError: a blank line, a line torn by a cut-off run,
     JSON other than an object, an object whose graph id is missing or not in
@@ -172,30 +173,10 @@ def _map_tasks(fn, tasks, workers: int):
             yield fn(*t)
 
 
-def _encode(obj, out: list[bytes]) -> None:
-    """Append the value of obj to out, tagged by type and framed by length, so that no two
-    different values give the same bytes. A stage shares only ints, strs, bools, tuples,
-    numeric arrays and dataclasses of those: any other value (a float too) raises TypeError."""
-    t = type(obj)  # exact types first: this runs for every value on every stage call
-    if t is int or t is str or t is bool:
-        data = str(obj).encode("utf-8")
-        out.append(b"%s%d:%s" % (t.__name__.encode(), len(data), data))
-    elif t is tuple:
-        out.append(b"t%d:" % len(obj))
-        for item in obj:
-            _encode(item, out)
-    elif t is np.ndarray and not obj.dtype.hasobject:  # object arrays would hash addresses
-        out.append(b"a%s%r:" % (obj.dtype.str.encode(), obj.shape))
-        out.append(np.ascontiguousarray(obj).tobytes())
-    elif is_dataclass(obj):
-        names = obj.__dataclass_fields__
-        out.append(b"d%d:" % len(names))
-        _encode(t.__qualname__, out)
-        for name in names:
-            _encode(name, out)
-            _encode(getattr(obj, name), out)
-    else:
-        raise TypeError(f"cannot key a checkpoint on a {t.__name__}")
+# the package's own code, one input of every checkpoint key: each module's name and bytes
+_SOURCE = hashlib.sha256(
+    pickle.dumps([(f.name, f.read_bytes()) for f in sorted(Path(__file__).parent.glob("*.py"))], protocol=5)
+).digest()
 
 
 def _run_stage(
@@ -207,7 +188,11 @@ def _run_stage(
     share an id. Each record reaches the checkpoint when its graph's result
     comes back, in graph order. A checkpointed record is reused only under the
     key of what it was computed from: fn, the shared arguments, the numpy version
-    (the optimizer's trajectory depends on numpy's arithmetic) and the weighted graph.
+    (the optimizer's trajectory depends on numpy's arithmetic), the package's own
+    source (`_SOURCE`) and the weighted graph. The key hashes their pickles, which
+    round-trip these values, so two different inputs never share a key; an equal
+    value that pickles otherwise (a shared object, a strided array) only misses,
+    and is recomputed.
     """
     if not graphs:
         raise ValueError("the graph set is empty: there is nothing to compute")
@@ -219,16 +204,11 @@ def _run_stage(
     checkpoint = None
     done = {}
     if checkpoint_path:
-        parts: list[bytes] = []
-        _encode((fn.__qualname__, shared, np.__version__), parts)
-        stage = hashlib.sha256(b"".join(parts))
+        stage = hashlib.sha256(pickle.dumps((fn.__qualname__, shared, np.__version__, _SOURCE), protocol=5))
         keys = {}
         for gid, wg in todo.items():
-            # vertex and edge counts, then the sorted edges and their weights
-            edges = sorted(wg.weights)
-            ints = [wg.graph.n, len(edges), *itertools.chain.from_iterable(edges)]
             h = stage.copy()
-            h.update(struct.pack(f"<{len(ints)}q{len(edges)}d", *ints, *[wg.weights[e] for e in edges]))
+            h.update(pickle.dumps((wg.graph.n, sorted(wg.weights.items())), protocol=5))
             keys[gid] = h.hexdigest()[:16]
         checkpoint = Checkpoint(checkpoint_path, keys)
         done = dict(checkpoint.done)

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -505,6 +506,36 @@ def test_train_resumes_across_seeds(tmp_path):
     assert ckpt.read_text() == lines
     assert rows[0][0] == rows[1][0]
     assert np.array_equal(rows[0][1], rows[1][1])
+
+
+def test_a_checkpoint_is_not_resumed_across_a_code_change(tmp_path):
+    # a copy of the package trains with a checkpoint, then resumes unchanged, then with COBYLA's first radius changed
+    src = tmp_path / "src"
+    shutil.copytree(Path(qaoa_pca.__file__).parent, src / "qaoa_pca", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(child_env(), PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    graphs, ckpt = tmp_path / "g.graphs", tmp_path / "train.ckpt"
+    assert run("gen-graphs", "--n", "4", "--out", graphs) == 0
+
+    def train(out, *extra):
+        argv = ["train", "--graphs", graphs, "--p", "1", "--workers", "1", "--out", out, *extra]
+        subprocess.run([sys.executable, "-m", "qaoa_pca.cli", *map(str, argv)], cwd=tmp_path, env=env,
+                       capture_output=True, check=True, timeout=300)
+        return out.read_bytes()
+
+    first = train(tmp_path / "first.csv", "--checkpoint", ckpt)
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == 6
+    assert train(tmp_path / "resumed.csv", "--checkpoint", ckpt) == first
+    assert ckpt.read_text().splitlines() == lines  # every line reused, none appended
+
+    cobyla = src / "qaoa_pca" / "cobyla.py"
+    text = cobyla.read_text()
+    assert "RHOBEG, RHOEND = 0.5, 1e-4" in text
+    cobyla.write_text(text.replace("RHOBEG, RHOEND = 0.5, 1e-4", "RHOBEG, RHOEND = 0.37, 1e-4"))
+    changed = train(tmp_path / "changed.csv", "--checkpoint", ckpt)
+    assert changed == train(tmp_path / "fresh.csv") != first
+    after = ckpt.read_text().splitlines()
+    assert after[:6] == lines and len(after) == 12  # every graph recomputed and appended
 
 
 def test_train_on_eight_vertices_matches_standard_evaluation(tmp_path):

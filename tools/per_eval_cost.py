@@ -6,9 +6,8 @@ Each tree's `qaoa_pca` package is loaded under a module name of its own, so
 both run side by side on the same numpy. Three costs are measured:
 
 - COBYLA + `optimizer.minimize`, in µs per evaluation. The objective values
-  at the starts of the benchmark's train-p2 workload (`build_train_p2` in
-  perfbench/workloads.py: the first `TRAIN_PER_N` unit-weight graphs on 5 and
-  on 6 vertices of `build_graph_set(5, 6)` at `GEN_SEED`, p = 2, one start
+  at the starts of the benchmark's train-p2 workload (the graphs
+  `BUILDERS["train-p2"]` in perfbench/workloads.py builds, p = 2, one start
   per TQA step) are recorded once with this checkout's package; each tree's `minimize` then runs against a replay of those
   values, so the time is the optimizer's own. Before timing, both trees must
   call f at the recorded points and return the same `OptResult` on every
@@ -49,8 +48,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # perfbench/ is only read: no __pycache__ there
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import GEN_SEED, TRAIN_PER_N, nproc  # noqa: E402  (imports no qaoa_pca at module level)
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]  # the workload builders import qaoa_pca
+from workloads import BUILDERS, GEN_SEED, nproc  # noqa: E402  (imports no qaoa_pca at module level)
 
 TRAIN_P = 2  # build_train_p2's depth
 OBJECTIVE_CALLS = 200  # objective calls per (n, p), tree and round
@@ -71,17 +70,15 @@ def load_tree(src: Path, name: str) -> dict:
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    mods = ("engine", "graphs", "maxcut", "optimizer", "pipeline")
+    mods = ("engine", "graphs", "maxcut", "optimizer")
     return {m: importlib.import_module(f"{name}.{m}") for m in mods}
 
 
 def train_p2_starts(tree: dict) -> list[tuple]:
     """(objective, x0) for every TQA start of the train-p2 graphs."""
     engine, optimizer = tree["engine"], tree["optimizer"]
-    every = tree["pipeline"].build_graph_set(5, 6, False, GEN_SEED)
-    graphs = [wg for n in (5, 6) for wg in [g for g in every if g.graph.n == n][:TRAIN_PER_N]]
     out = []
-    for wg in graphs:
+    for wg in BUILDERS["train-p2"]().graphs:  # the tree's cost_diagonal reads only .graph.n and .weights
         diag = tree["maxcut"].cost_diagonal(wg)
 
         def f(x, diag=diag):
