@@ -7,8 +7,10 @@ Isomorphism classes are identified by the minimum bitmask over all vertex
 relabelings (the canonical key).
 
 `MAX_VERTICES` is the one vertex bound of the package, enforced by `Graph`:
-every stage names a record by its canonical key, which tabulates all n!
-relabelings, so no graph has more than 8 vertices. Exhaustive enumeration walks all
+every stage names a record by its canonical key, whose tables hold a mask in a
+uint32, so no graph has more than 8 vertices (C(8, 2) = 28 <= 32 bits). Below 8
+vertices a key ORs a table of all n! relabelings; at 8 it picks the top four labels
+from a table of the 1680 ordered 4-tuples first (`_split_key`). Exhaustive enumeration walks all
 2^C(n,2) edge sets on each call, keeping no cache, so it stops earlier, at `MAX_ENUMERATION_VERTICES`.
 """
 
@@ -118,41 +120,104 @@ def is_connected(g: Graph) -> bool:
     return reach == (1 << g.n) - 1
 
 
-@lru_cache(maxsize=8)
-def _perm_bit_weights(n: int) -> np.ndarray:
-    """(C(n,2), n!) uint32 table: entry [k, p] is the destination bit of pair k under permutation p.
+def _tuples(n: int, k: int) -> np.ndarray:
+    """The ordered k-tuples of distinct vertices, (n!/(n-k)!, k) uint8 in `itertools.permutations` order."""
+    return np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n), k)), np.uint8).reshape(-1, k)
 
-    Pair-major and C-contiguous, so the relabelings of one pair are one row. uint32
-    holds a mask because C(MAX_VERTICES, 2) = 28 <= 32.
+
+def _destination_bits(n: int, labels: np.ndarray) -> np.ndarray:
+    """(C(n,2), r) uint32 table for r relabelings, vertex w taking label labels[w, j] in relabeling j:
+    entry [pair, j] is the bit that pair moves to, and 0 when an endpoint's label is n (unlabeled).
+
+    Pair-major and C-contiguous, so the relabelings of one pair are one row. uint32 holds a mask
+    because C(MAX_VERTICES, 2) = 28 <= 32.
     """
-    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))), np.uint8).reshape(-1, n)
     pairs = _pairs(n)
-    pair_idx = np.zeros((n, n), dtype=np.uint32)
+    bit = np.zeros((n + 1, n + 1), dtype=np.uint32)  # row and column n, the unlabeled end, stay 0
     for k, (u, v) in enumerate(pairs):
-        pair_idx[u, v] = pair_idx[v, u] = k
-    weights = np.empty((len(pairs), len(perms)), dtype=np.uint32)
+        bit[u, v] = bit[v, u] = 1 << k
+    table = np.empty((len(pairs), labels.shape[1]), dtype=np.uint32)
     for k, (u, v) in enumerate(pairs):
-        np.left_shift(np.uint32(1), pair_idx[perms[:, u], perms[:, v]], out=weights[k])
-    return weights
+        table[k] = bit[labels[u], labels[v]]
+    return table
 
 
-def _orbit_masks(n: int, mask: int) -> np.ndarray:
-    """All n! relabelings of `mask` as a uint32 vector (with repeats for automorphisms)."""
-    weights = _perm_bit_weights(n)
+@lru_cache(maxsize=None)
+def _label_table(n: int, k: int) -> np.ndarray:
+    """(C(n,2), n!/(n-k)!) uint32 relabeling table, one column per ordered k-tuple t of `_tuples(n, k)`:
+    entry [pair, t] is the destination bit of that pair when t[j] takes label n-k+j, and 0 when an
+    endpoint is unlabeled. With k = n the columns are all n! relabelings."""
+    tuples = _tuples(n, k)
+    labels = np.full((n, len(tuples)), n, dtype=np.uint8)
+    labels[tuples.T, np.arange(len(tuples))] = np.arange(n - k, n, dtype=np.uint8)[:, None]
+    return _destination_bits(n, labels)
+
+
+def _orbit_masks(n: int, mask: int, k: int | None = None) -> np.ndarray:
+    """`mask` relabeled by each column of `_label_table(n, k)` as a uint32 vector; with the default
+    k = n, all n! relabelings (with repeats for automorphisms)."""
+    weights = _label_table(n, n if k is None else k)
     acc = np.zeros(weights.shape[1], dtype=np.uint32)
-    k = 0
+    pair = 0
     m = mask
     while m:
         if m & 1:
-            acc |= weights[k]
+            acc |= weights[pair]
         m >>= 1
-        k += 1
+        pair += 1
     return acc
 
 
+@lru_cache(maxsize=None)
+def _low_tables(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stage two of `_split_key`: the low bits of the relabelings that give a k-tuple the top labels.
+
+    Slot order lists the n-k other vertices, ascending, then the tuple; the low pairs are the slot
+    pairs whose first slot is below n-k, the first C(n,2) - C(k,2). Returns `source`, the
+    (n!/(n-k)!, low) uint32 input bit that each tuple's slot pair reads, and `weights`, the
+    (low, (n-k)!) float32 destination bit of each slot pair under each order of the other vertices.
+    """
+    low = len(_pairs(n)) - k * (k - 1) // 2
+    tuples = _tuples(n, k)
+    labeled = np.zeros((len(tuples), n), dtype=bool)
+    np.put_along_axis(labeled, tuples, True, axis=1)
+    slots = np.hstack([np.nonzero(~labeled)[1].reshape(-1, n - k).astype(np.uint8), tuples])
+    # slot x "takes label" slots[t, x], the vertex in it: each slot pair maps to its input pair
+    source = _destination_bits(n, slots.T)[:low].T.copy()
+    orders = _tuples(n - k, n - k)
+    top = np.broadcast_to(np.arange(n - k, n, dtype=np.uint8), (len(orders), k))
+    weights = _destination_bits(n, np.hstack([orders, top]).T)[:low].astype(np.float32)
+    return source, weights
+
+
+def _split_key(n: int, mask: int) -> int:
+    """Minimum relabeling of `mask`, its top k = n//2 labels chosen first.
+
+    A relabeling's top C(k,2) bits are the pairs among labels n-k..n-1, set by the k-tuple that
+    takes them alone, so the minimum lies among the tuples whose top bits are least (stage one,
+    `_label_table(n, k)`). Each of those scores every order of the other vertices at once (stage
+    two, `_low_tables`): an order's low bits are the sum of the destination bits of the slot pairs
+    that are edges. The float32 product is exact: every partial sum is a sum of distinct powers of
+    two below 2^22 (at n = 8), within float32's 24-bit significand.
+    """
+    k = n // 2
+    top = _orbit_masks(n, mask, k)
+    best = top.min()
+    source, weights = _low_tables(n, k)
+    edges = (source[top == best] & np.uint32(mask)) != 0
+    return int(best) + int((edges @ weights).min())
+
+
 def canonical_key(g: Graph) -> CanonicalKey:
-    """Minimum adjacency bitmask over all n! relabelings; equal keys iff isomorphic."""
-    return CanonicalKey(g.n, int(_orbit_masks(g.n, graph_to_mask(g)).min()))
+    """Minimum adjacency bitmask over all n! relabelings; equal keys iff isomorphic.
+
+    Below `MAX_VERTICES` it is the minimum of `_orbit_masks`; at `MAX_VERTICES` it is `_split_key`,
+    which tabulates 8!/4! = 1680 tuples instead of 8! = 40320 relabelings.
+    """
+    mask = graph_to_mask(g)
+    if g.n < MAX_VERTICES:
+        return CanonicalKey(g.n, int(_orbit_masks(g.n, mask).min()))
+    return CanonicalKey(g.n, _split_key(g.n, mask))
 
 
 def graph_id(g: Graph) -> str:

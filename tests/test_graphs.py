@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from qaoa_pca.graphs import (
     MAX_VERTICES,
     Graph,
     WeightedGraph,
+    _label_table,
+    _low_tables,
     _orbit_masks,
-    _perm_bit_weights,
     assign_random_weights,
     canonical_key,
     enumerate_connected_nonisomorphic,
@@ -128,10 +130,54 @@ def test_canonical_key_matches_permutation_oracle():
         assert set(_orbit_masks(g.n, graph_to_mask(g)).tolist()) == set(relabeled_masks(g)), (g.n, sorted(g.edges))
 
 
-def test_relabeling_table_is_uint32():
-    assert MAX_VERTICES * (MAX_VERTICES - 1) // 2 <= 32
-    weights = _perm_bit_weights(8)
-    assert weights.shape == (28, 40320) and weights.dtype == np.uint32
+def symmetric_8():
+    """8-vertex graphs on which every relabeling ties or nearly ties: edgeless, K8, C8, K4,4, K1,7, two K4."""
+    k4s = itertools.chain(itertools.combinations(range(4), 2), itertools.combinations(range(4, 8), 2))
+    return [
+        Graph(8, frozenset()),
+        complete_graph(8),
+        Graph(8, frozenset({(i, i + 1) for i in range(7)} | {(0, 7)})),
+        Graph(8, frozenset((u, v) for u in range(4) for v in range(4, 8))),
+        Graph(8, frozenset((0, v) for v in range(1, 8))),
+        Graph(8, frozenset(k4s)),
+    ]
+
+
+def test_canonical_key_at_8_vertices_is_the_minimum_of_the_full_orbit():
+    # the two-stage key against the OR of all 8! relabelings; __wrapped__ keeps the 4.5 MB table out of the cache
+    full = _label_table.__wrapped__(8, 8)
+    rng = np.random.default_rng(33)
+    graphs = [graph_from_mask(8, int(m)) for m in rng.integers(0, 1 << 28, 300)]
+    graphs += [Graph(8, frozenset(uv for uv in itertools.combinations(range(8), 2) if rng.random() < p))
+               for p in (0.15, 0.85) for _ in range(50)]
+    for g in graphs + symmetric_8():
+        rows = [k for k in range(28) if graph_to_mask(g) >> k & 1]
+        assert canonical_key(g).bits == int(np.bitwise_or.reduce(full[rows], axis=0).min()), sorted(g.edges)
+
+
+def test_keys_use_the_tuple_table_at_8_vertices_and_the_full_table_below():
+    assert MAX_VERTICES * (MAX_VERTICES - 1) // 2 <= 32  # a mask fits a uint32
+    _label_table.cache_clear()
+    canonical_key(path_graph(7))
+    canonical_key(path_graph(8))
+    assert _label_table.cache_info().currsize == 2
+    assert _label_table(8, 4).shape == (28, 1680) and _label_table(8, 4).dtype == np.uint32
+    assert _label_table(7, 7).shape == (21, 5040) and _label_table(7, 7).dtype == np.uint32
+    assert _label_table.cache_info().currsize == 2  # both were the cached ones: no other table was built
+
+
+def test_keying_8_vertex_graphs_caches_no_table_over_1_mb():
+    _label_table.cache_clear()
+    _low_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for g in [path_graph(8), *symmetric_8()]:
+            canonical_key(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < held < 1 << 20
 
 
 def test_canonical_key_separates_nonisomorphic():

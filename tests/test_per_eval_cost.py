@@ -46,7 +46,7 @@ def test_per_eval_cost_runs_one_round(tmp_path):
     assert sorted(cells) == sorted(f"n={n},p={p}" for n in range(4, 9) for p in (1, 2, 4, 8))
     assert all(c["base"] > 0 and c["head"] > 0 for c in cells.values())
     keys = result["canonical_key_us_per_call"]
-    assert sorted(keys) == ["n=6", "n=7", "n=8"]
+    assert list(keys) == ["n=6", "n=7", "n=8", "n=8,symmetric"]
     assert all(c["base"] > 0 and c["head"] > 0 for c in keys.values())
     # one round has no spread: every interquartile range is there, and 0
     every = (result["minimize_us_per_eval"], *cells.values(), *keys.values())
@@ -101,4 +101,24 @@ def test_per_eval_cost_refuses_a_tree_whose_canonical_key_differs(tmp_path):
     assert out.returncode != 0
     assert "n=8: canonical_key gives" in out.stderr
     assert "n=6:" not in out.stderr and "n=7:" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_per_eval_cost_refuses_train_p2_records_of_two_depths(tmp_path):
+    # the tool takes the train-p2 depth from the workload's reference records, so they must name one
+    for d in ("tools", "perfbench", "src"):
+        shutil.copytree(ROOT / d, tmp_path / d, ignore=shutil.ignore_patterns("__pycache__"))
+    ref = tmp_path / "perfbench" / "reference" / "train-p2.json"
+    data = json.loads(ref.read_text(encoding="utf-8"))
+    data["records"][0]["layers"] = 3
+    ref.write_text(json.dumps(data), encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "per_eval_cost.py"), "--reps", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode != 0
+    assert "records name layers [2, 3], expected one depth" in out.stderr
     assert out.stdout == ""

@@ -7,8 +7,8 @@ both run side by side on the same numpy. Three costs are measured:
 
 - COBYLA + `optimizer.minimize`, in µs per evaluation. The objective values
   at the starts of the benchmark's train-p2 workload (the graphs
-  `BUILDERS["train-p2"]` in perfbench/workloads.py builds, p = 2, one start
-  per TQA step) are recorded once with this checkout's package; each tree's `minimize` then runs against a replay of those
+  `BUILDERS["train-p2"]` in perfbench/workloads.py builds, at the depth its
+  reference records name, one start per TQA step) are recorded once with this checkout's package; each tree's `minimize` then runs against a replay of those
   values, so the time is the optimizer's own. Before timing, both trees must
   call f at the recorded points and return the same `OptResult` on every
   start, or the script stops.
@@ -17,10 +17,12 @@ both run side by side on the same numpy. Three costs are measured:
   `objective` value and the same `evolve` statevector (`np.array_equal`) at
   every (n, p), or the script stops.
 - `graphs.canonical_key`, in µs per call, for n = 6, 7 and 8 over
-  `KEY_GRAPHS` seeded random graphs each. Before timing, both trees must give
-  the same key to every timed graph, or the script stops. The one-off cost of
-  building a relabeling table is not timed here: perfbench's `setup_s` and
-  `peak_rss_mb` carry it end to end.
+  `KEY_GRAPHS` seeded random graphs each, and for the 8-vertex graphs whose
+  relabelings tie most (edgeless, K8, C8, K4,4, K1,7, two K4: cell
+  "n=8,symmetric"). Before timing, both trees must give the same key to every
+  timed graph, or the script stops. The one-off cost of building a relabeling
+  table is not timed here: perfbench's `setup_s` and `peak_rss_mb` carry it
+  end to end.
 
 The head tree is this checkout's `src`; `--base` names the other. Round r
 times the base tree first when r is even and the head tree first when it is
@@ -37,6 +39,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import itertools
 import json
 import platform
 import statistics
@@ -51,7 +54,6 @@ sys.dont_write_bytecode = True  # perfbench/ is only read: no __pycache__ there
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]  # the workload builders import qaoa_pca
 from workloads import BUILDERS, GEN_SEED, nproc  # noqa: E402  (imports no qaoa_pca at module level)
 
-TRAIN_P = 2  # build_train_p2's depth
 OBJECTIVE_CALLS = 200  # objective calls per (n, p), tree and round
 OBJECTIVE_N = (4, 5, 6, 7, 8)
 OBJECTIVE_P = (1, 2, 4, 8)
@@ -74,9 +76,19 @@ def load_tree(src: Path, name: str) -> dict:
     return {m: importlib.import_module(f"{name}.{m}") for m in mods}
 
 
+def train_p2_depth() -> int:
+    """The depth p of the train-p2 workload: the `layers` all its reference records share."""
+    path = ROOT / "perfbench" / "reference" / "train-p2.json"
+    depths = {r["layers"] for r in json.loads(path.read_text(encoding="utf-8"))["records"]}
+    if len(depths) != 1:
+        raise SystemExit(f"{path}: records name layers {sorted(depths)}, expected one depth")
+    return depths.pop()
+
+
 def train_p2_starts(tree: dict) -> list[tuple]:
     """(objective, x0) for every TQA start of the train-p2 graphs."""
     engine, optimizer = tree["engine"], tree["optimizer"]
+    p = train_p2_depth()
     out = []
     for wg in BUILDERS["train-p2"]().graphs:  # the tree's cost_diagonal reads only .graph.n and .weights
         diag = tree["maxcut"].cost_diagonal(wg)
@@ -84,7 +96,7 @@ def train_p2_starts(tree: dict) -> list[tuple]:
         def f(x, diag=diag):
             return engine.objective(diag, engine.ParameterVector.from_array(x))
 
-        out.extend((f, optimizer.tqa_init(TRAIN_P, dt)) for dt in optimizer.TQA_STEPS)
+        out.extend((f, optimizer.tqa_init(p, dt)) for dt in optimizer.TQA_STEPS)
     return out
 
 
@@ -165,22 +177,29 @@ def time_objective(tree: dict, diag, theta) -> float:
 
 
 def key_cases(tree: dict) -> dict:
-    """n -> the seeded random n-vertex graphs whose keys are timed."""
+    """Cell -> the graphs whose keys are timed: seeded random graphs per n, then the symmetric 8-vertex ones."""
     graphs = tree["graphs"]
     rng = np.random.default_rng(GEN_SEED)
-    return {
-        n: [graphs.graph_from_mask(n, int(m)) for m in rng.integers(0, 1 << (n * (n - 1) // 2), KEY_GRAPHS)]
+    cases = {
+        f"n={n}": [graphs.graph_from_mask(n, int(m)) for m in rng.integers(0, 1 << (n * (n - 1) // 2), KEY_GRAPHS)]
         for n in KEY_N
     }
+    pairs = list(itertools.combinations(range(8), 2))
+    cycle = [(i, i + 1) for i in range(7)] + [(0, 7)]
+    k44 = [(u, v) for u in range(4) for v in range(4, 8)]
+    star = [(0, v) for v in range(1, 8)]
+    two_k4 = [(u, v) for u, v in pairs if (u < 4) == (v < 4)]
+    cases["n=8,symmetric"] = [graphs.Graph(8, edges) for edges in ([], pairs, cycle, k44, star, two_k4)]
+    return cases
 
 
 def check_keys(trees: dict, cases: dict) -> None:
     """Both trees give every timed graph the same canonical key."""
-    for n in KEY_N:
-        for i in range(KEY_GRAPHS):
-            got = {label: tree["graphs"].canonical_key(cases[label][n][i]).bits for label, tree in trees.items()}
+    for name in cases["head"]:
+        for i in range(len(cases["head"][name])):
+            got = {label: tree["graphs"].canonical_key(cases[label][name][i]).bits for label, tree in trees.items()}
             if got["base"] != got["head"]:
-                raise SystemExit(f"n={n}: canonical_key gives {got['base']:#x} on base, {got['head']:#x} on head")
+                raise SystemExit(f"{name}: canonical_key gives {got['base']:#x} on base, {got['head']:#x} on head")
 
 
 def time_keys(tree: dict, graphs: list) -> float:
@@ -238,7 +257,7 @@ def main(argv=None) -> int:
 
     minimize_us = {"base": [], "head": []}
     objective_us = {case: {"base": [], "head": []} for case in cases["head"]}
-    key_us = {n: {"base": [], "head": []} for n in KEY_N}
+    key_us = {name: {"base": [], "head": []} for name in keys["head"]}
     for r in range(args.reps):
         order = ("base", "head") if r % 2 == 0 else ("head", "base")
         for label in order:
@@ -247,9 +266,9 @@ def main(argv=None) -> int:
             for label in order:
                 diag, theta = cases[label][case]
                 objective_us[case][label].append(time_objective(trees[label], diag, theta))
-        for n in KEY_N:
+        for name in key_us:
             for label in order:
-                key_us[n][label].append(time_keys(trees[label], keys[label][n]))
+                key_us[name][label].append(time_keys(trees[label], keys[label][name]))
 
     result = {
         "nproc": nproc(),
@@ -261,7 +280,7 @@ def main(argv=None) -> int:
         "evals_per_rep": sum(len(values) for _, _, values, _ in runs),
         "minimize_us_per_eval": compare(minimize_us),
         "objective_us_per_call": {f"n={n},p={p}": compare(s) for (n, p), s in objective_us.items()},
-        "canonical_key_us_per_call": {f"n={n}": compare(s) for n, s in key_us.items()},
+        "canonical_key_us_per_call": {name: compare(s) for name, s in key_us.items()},
     }
     print(f"COBYLA + minimize, µs per evaluation, median [IQR]: {cell(result['minimize_us_per_eval'], 1)}",
           file=sys.stderr)
